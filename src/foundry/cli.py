@@ -1,8 +1,9 @@
 """Command line interface.
 
 Exit codes: 0 on success, 2 for domain errors (invalid matroid or pasture
-data, unknown names, sources not generated by fundamental elements), 1 for
-input and usage errors (unreadable files, malformed JSON, bad flags).
+data, unknown names, sources not generated by fundamental elements) and for
+a computed matrix that fails its matroid check, 1 for input and usage
+errors (unreadable files, malformed JSON, bad flags).
 """
 
 from __future__ import annotations
@@ -189,10 +190,11 @@ def cmdRepresentations(args):
     m = loadMatroid(args.matroid)
     fr = computeFoundation(m, parseBasis(args.basis))
     reps = representationsOverField(m, args.field, foundationResult=fr)
-    field = gfPasture(args.field).field
     for rep in reps:
-        recovered = matroidOfMatrix(rep.matrix, field)
-        assert sorted(recovered.bases) == sorted(m.bases)
+        if sorted(matroidOfMatrix(rep.matrix, rep.field).bases) != sorted(m.bases):
+            print("error: a computed matrix over GF(%d) does not represent %s"
+                  % (args.field, m.name or "the matroid"), file=sys.stderr)
+            return 2
     payload = {
         "matroid": m.name or "unnamed",
         "field": args.field,
@@ -201,7 +203,7 @@ def cmdRepresentations(args):
     }
     lines = ["representations over GF(%d): %d" % (args.field, len(reps))]
     for rep in reps:
-        lines.append(formatMatrix(rep.matrix, field))
+        lines.append(formatMatrix(rep.matrix, rep.field))
         lines.append("")
     emit(args, payload, "\n".join(lines).rstrip())
     return 0

@@ -131,7 +131,8 @@ def _greedyIndependent(m, flat, size):
 class FoundationResult:
     """The foundation pasture, the quotient map from symbols, and the gauge basis."""
 
-    __slots__ = ("matroid", "foundation", "rhoZero", "basis", "ambient", "graph")
+    __slots__ = ("matroid", "foundation", "rhoZero", "basis", "ambient", "graph",
+                 "_nearImages")
 
     def __init__(self, matroid, foundation, rhoZero, basis, ambient, graph):
         self.matroid = matroid
@@ -140,6 +141,27 @@ class FoundationResult:
         self.basis = basis
         self.ambient = ambient
         self.graph = graph
+        self._nearImages = None
+
+    def nearBasisImages(self):
+        """The foundation elements of the bases next to B0, built on first use.
+
+        Maps (i, j), for j outside B0, to the rhoZero image of the symbol of
+        B0 - B0[i] + j; pairs whose exchange is not a basis are absent.
+        These r(n - r) entries are all a reduced matrix reads.
+        """
+        if self._nearImages is None:
+            b0 = set(self.basis)
+            images = {}
+            for i, a in enumerate(self.basis):
+                for j in range(self.matroid.n):
+                    if j in b0:
+                        continue
+                    s = tuple(sorted(b0 - {a} | {j}))
+                    if s in self.matroid.basesSet:
+                        images[(i, j)] = self.rhoZero.apply(self.ambient.basisVector(s))
+            self._nearImages = images
+        return self._nearImages
 
 
 def computeFoundation(m, basis=None):

@@ -18,9 +18,10 @@ from .zlattice import (
     GroupHom,
     GroupPresentation,
     IntMatrix,
+    ModularSolver,
     cokernelPresentation,
     homFinite,
-    solveModular,
+    spansLattice,
 )
 
 
@@ -182,15 +183,38 @@ class SublatticeData:
     typeFourLists: per level, entries (c0u, cu, tauU, c0v, cv, tauV) freezing
     the primitive dependency data of pairs that became doubly dependent.
     counts: how many pairs of each kind produced rules or list entries.
+    freeMatrix: A_F, whose columns are the generators' free parts.  Its
+    cokernel and its factorisation per modulus are built on first use and
+    kept for the life of the source pasture.
     """
 
-    __slots__ = ("generators", "rules", "typeFourLists", "counts")
+    __slots__ = ("generators", "rules", "typeFourLists", "counts", "freeMatrix",
+                 "_quotient", "_solvers")
 
-    def __init__(self, generators, rules, typeFourLists, counts):
+    def __init__(self, generators, rules, typeFourLists, counts, freeMatrix):
         self.generators = generators
         self.rules = rules
         self.typeFourLists = typeFourLists
         self.counts = counts
+        self.freeMatrix = freeMatrix
+        self._quotient = None
+        self._solvers = {}
+
+    def quotient(self):
+        """(coker(A_F), projection); finite because A_F has full rank."""
+        if self._quotient is None:
+            pres, proj = cokernelPresentation(self.freeMatrix)
+            if pres.freeRank:
+                raise ValueError("sublattice free parts must have full rank")
+            self._quotient = (pres, proj)
+        return self._quotient
+
+    def solver(self, n):
+        """The system x @ A_F == B modulo n (n == 0: over Z), factored once."""
+        solver = self._solvers.get(n)
+        if solver is None:
+            solver = self._solvers[n] = ModularSolver(self.freeMatrix, n)
+        return solver
 
 
 def fullRankSublattice(pasture):
@@ -207,8 +231,7 @@ def fullRankSublattice(pasture):
     spanCols = [tuple(x) for x in pasture.fundamentalElements()]
     spanCols.append(tuple(pasture.epsilon))
     spanCols.extend(group.relationColumns())
-    pres, _ = cokernelPresentation(IntMatrix.fromColumns(spanCols, dim=group.dim))
-    if pres.dim != 0:
+    if not spansLattice(IntMatrix.fromColumns(spanCols, dim=group.dim)):
         raise NotGeneratedByFundamentalElements(
             "%s is not generated by its fundamental elements and epsilon"
             % (pasture.name or "pasture",))
@@ -368,7 +391,9 @@ def fullRankSublattice(pasture):
         else:
             raise NotGeneratedByFundamentalElements(
                 "no usable fundamental pair found; the free part is not spanned")
-    return SublatticeData(tuple(generators), tuple(rules), tuple(typeFourLists), counts)
+    freeMatrix = IntMatrix.fromColumns([group.freePart(x) for x in generators], dim=r)
+    return SublatticeData(tuple(generators), tuple(rules), tuple(typeFourLists), counts,
+                          freeMatrix)
 
 
 def sublatticeOf(pasture):
@@ -441,15 +466,16 @@ def assemble(p1, p2, sub, psi, images, stats=None):
     The free block is the unique rational solution of C_F * A_F = B_F, kept
     only when integral; each torsion row is solved modulo its invariant; the
     solution set is one particular lift translated by Hom(coker(A_F), T_2).
+    A_F depends only on the sublattice, so its cokernel and its
+    factorisations come from sub and each leaf pays only the solves.
     """
     g1, g2 = p1.group, p2.group
     r = len(sub.generators)
     n1, n2 = len(g1.invariants), len(g2.invariants)
-    aF = IntMatrix.fromColumns([g1.freePart(x) for x in sub.generators], dim=g1.freeRank)
     bF = IntMatrix.fromColumns([g2.freePart(y) for y in images], dim=g2.freeRank)
     freeRows = []
     for i in range(g2.freeRank):
-        x = solveModular(aF, bF.row(i), 0)
+        x = sub.solver(0).solve(bF.row(i))
         if x is None:
             return []
         freeRows.append(x)
@@ -457,12 +483,11 @@ def assemble(p1, p2, sub, psi, images, stats=None):
     particular = []
     for i, b in enumerate(g2.invariants):
         rhs = [y[i] - m[i] for y, m in zip(images, psiImages)]
-        x = solveModular(aF, rhs, b)
+        x = sub.solver(b).solve(rhs)
         if x is None:
             return []
         particular.append(x)
-    qPres, qProj = cokernelPresentation(aF)
-    assert qPres.freeRank == 0, "sublattice free parts must have full rank"
+    qPres, qProj = sub.quotient()
     t2 = _torsionPresentation(g2)
     out = []
     seen = set()

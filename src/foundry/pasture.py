@@ -100,11 +100,7 @@ class Pasture:
         self.epsilon = group.reduce(epsilon)
         if not group.isZero(group.scale(2, self.epsilon)):
             raise InvalidPastureError("epsilon must be 2-torsion")
-        hexes = []
-        for x, y in hexagonHeads:
-            h = hexagonClosure(group, self.epsilon, x, y)
-            if h not in hexes:
-                hexes.append(h)
+        hexes = dict.fromkeys(hexagonClosure(group, self.epsilon, x, y) for x, y in hexagonHeads)
         self.hexagons = tuple(sorted(hexes, key=lambda h: h.pairs))
         self.name = name
         self.field = field
@@ -116,12 +112,7 @@ class Pasture:
 
     def fundamentalPairs(self):
         """All oriented fundamental pairs in deterministic scan order."""
-        out = []
-        for h in self.hexagons:
-            for p in h.orientedPairs():
-                if p not in out:
-                    out.append(p)
-        return tuple(out)
+        return tuple(dict.fromkeys(p for h in self.hexagons for p in h.orientedPairs()))
 
     def pairSet(self):
         return self._pairSet

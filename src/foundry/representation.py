@@ -60,7 +60,11 @@ def _fieldValue(pasture, element):
 
 
 def gpFromMorphism(foundationResult, morphism):
-    """Evaluate the morphism on every basis symbol of the foundation."""
+    """Evaluate the morphism on every basis symbol of the foundation.
+
+    The whole function is what validateGP checks; a matrix needs only the
+    entries next to B0, which gpToMatrix reads directly.
+    """
     fr = foundationResult
     values = {}
     for b in fr.matroid.bases:
@@ -110,13 +114,15 @@ def gpToMatrix(foundationResult, morphism):
 
     Columns of the reference basis form an identity; any other entry (i, j)
     is the value at the basis obtained by exchanging the i-th reference
-    element for j, and zero when that exchange is not a basis.
+    element for j, and zero when that exchange is not a basis.  Only those
+    r(n - r) values are computed, from the foundation elements cached by
+    FoundationResult.nearBasisImages.
     """
     fr = foundationResult
     target = morphism.target
     if target.field is None:
         raise ValueError("morphism target %r has no attached field" % (target.name,))
-    gp = gpFromMorphism(fr, morphism)
+    near = fr.nearBasisImages()
     b0 = fr.basis
     rows = []
     for i, gElem in enumerate(b0):
@@ -125,9 +131,8 @@ def gpToMatrix(foundationResult, morphism):
             if j in b0:
                 row.append(1 if j == gElem else 0)
             else:
-                s = tuple(sorted((set(b0) - {gElem}) | {j}))
-                v = gp.values.get(s)
-                row.append(0 if v is None else _fieldValue(target, v))
+                v = near.get((i, j))
+                row.append(0 if v is None else _fieldValue(target, morphism.apply(v)))
         rows.append(tuple(row))
     return tuple(rows)
 

@@ -1,8 +1,9 @@
 """Exact integer linear algebra for finitely generated abelian groups.
 
-Everything works over plain Python ints: Smith normal form with unimodular
-transforms, cokernel presentations, modular linear solves, and enumeration
-of homomorphisms between finite abelian groups.
+Everything works over plain Python ints: Smith normal form, building each
+unimodular transform only for callers that read it, cokernel presentations,
+modular linear solves against a matrix factored once, and enumeration of
+homomorphisms between finite abelian groups.
 """
 
 from __future__ import annotations
@@ -111,7 +112,10 @@ class IntMatrix:
 
 
 class SnfResult:
-    """Smith normal form data: U @ A @ V == D with U, V unimodular."""
+    """Smith normal form data: U @ A @ V == D with U, V unimodular.
+
+    U or V is None when the computation was asked not to build it.
+    """
 
     __slots__ = ("U", "D", "V")
 
@@ -143,8 +147,29 @@ def _addCol(m, dst, src, factor):
         row[dst] += factor * row[src]
 
 
-def smithNormalForm(a):
-    """Smith normal form of an integer matrix.
+def _pivot(d, t):
+    """(i, j) of the nonzero entry of least absolute value in the block of d
+    from (t, t), the lowest (i, j) among equals; None when the block is zero."""
+    best = None
+    for i in range(t, len(d)):
+        row = d[i]
+        for j in range(t, len(row)):
+            e = abs(row[j])
+            if e and (best is None or e < best[0]):
+                if e == 1:
+                    return i, j  # nothing later in scan order can beat a unit
+                best = (e, i, j)
+    return None if best is None else best[1:]
+
+
+def smithForm(a, withU=False, withV=False):
+    """Smith normal form of an integer matrix, with only the transforms asked for.
+
+    Returns an SnfResult whose U (rows) and V (columns) are None unless
+    requested; D and the requested transforms are exactly those of
+    smithNormalForm(a), since an unrequested transform is carried through
+    the same elimination with no entries.  The invariant factors never need
+    the transforms (Kannan and Bachem, SIAM J. Comput. 1979).
 
     Pivot selection is deterministic: the entry of smallest absolute value in
     the working block, ties broken by lowest (row, col).  The diagonal of D is
@@ -152,19 +177,14 @@ def smithNormalForm(a):
     """
     m, n = a.rows, a.cols
     d = [list(row) for row in a.data]
-    u = IntMatrix.identity(m).toLists()
-    v = IntMatrix.identity(n).toLists()
+    u = IntMatrix.identity(m).toLists() if withU else [[] for _ in range(m)]
+    v = IntMatrix.identity(n).toLists() if withV else []
     t = 0
     while t < min(m, n):
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                e = d[i][j]
-                if e and (best is None or (abs(e), i, j) < best):
-                    best = (abs(e), i, j)
+        best = _pivot(d, t)
         if best is None:
             break
-        _, bi, bj = best
+        bi, bj = best
         if bi != t:
             _swapRows(d, t, bi)
             _swapRows(u, t, bi)
@@ -188,16 +208,30 @@ def smithNormalForm(a):
         if any(d[i][t] for i in range(t + 1, m)) or any(d[t][j] for j in range(t + 1, n)):
             continue  # leftover remainders are smaller than the pivot; reselect
         offender = None
-        for i in range(t + 1, m):
-            if any(d[i][j] % pivot for j in range(t + 1, n)):
-                offender = i
-                break
+        if pivot > 1:  # a unit pivot divides every entry
+            for i in range(t + 1, m):
+                if any(d[i][j] % pivot for j in range(t + 1, n)):
+                    offender = i
+                    break
         if offender is not None:
             _addRow(d, t, offender, 1)
             _addRow(u, t, offender, 1)
             continue
         t += 1
-    return SnfResult(IntMatrix(u, cols=m), IntMatrix(d, cols=n), IntMatrix(v, cols=n))
+    return SnfResult(IntMatrix(u, cols=m) if withU else None,
+                     IntMatrix(d, cols=n),
+                     IntMatrix(v, cols=n) if withV else None)
+
+
+def smithNormalForm(a):
+    """Smith normal form with both unimodular transforms: U @ a @ V == D."""
+    return smithForm(a, withU=True, withV=True)
+
+
+def spansLattice(a):
+    """Whether the columns of a span all of Z^a.rows (every invariant factor is 1)."""
+    diag = smithForm(a).diagonal()
+    return len(diag) == a.rows and all(x == 1 for x in diag)
 
 
 def determinant(a):
@@ -362,11 +396,7 @@ class GroupHom:
     def isSurjective(self):
         """True when the image together with target relations spans Z^dim."""
         cols = self.matrix.columns() + self.target.relationColumns()
-        if not cols:
-            return self.target.dim == 0
-        stacked = IntMatrix.fromColumns(cols, dim=self.target.dim)
-        pres, _ = cokernelPresentation(stacked)
-        return pres.dim == 0
+        return spansLattice(IntMatrix.fromColumns(cols, dim=self.target.dim))
 
     def __eq__(self, other):
         return (
@@ -395,7 +425,7 @@ def cokernelPresentation(relations):
     cokernel in canonical coordinates.
     """
     g = relations.rows
-    snf = smithNormalForm(relations)
+    snf = smithForm(relations, withU=True)
     diag = snf.diagonal()
     torsionRows = [i for i, d in enumerate(diag) if d >= 2]
     freeRows = [i for i in range(g) if i >= len(diag) or diag[i] == 0]
@@ -411,38 +441,58 @@ def cokernelPresentation(relations):
     return pres, projection
 
 
+class ModularSolver:
+    """Solutions x (length a.rows) of x @ A == B modulo n for one fixed A.
+
+    A is factored once, so each right-hand side costs two matrix-vector
+    products.  n == 0 means solve over the integers.
+    """
+
+    __slots__ = ("n", "cols", "U", "diag", "V")
+
+    def __init__(self, a, n):
+        if n < 0:
+            raise ValueError("modulus must be nonnegative")
+        work = a
+        if n:
+            scaled = IntMatrix(tuple(tuple(n if i == j else 0 for j in range(a.cols)) for i in range(a.cols)), cols=a.cols)
+            work = a.vstack(scaled)
+        # x @ work == b  <=>  work^T @ x^T == b^T
+        snf = smithNormalForm(work.transpose())
+        self.n = n
+        self.cols = a.cols
+        self.U = snf.U
+        self.diag = snf.diagonal()
+        # only the first a.rows coordinates of a solution are x itself
+        self.V = IntMatrix(snf.V.data[:a.rows], cols=snf.V.cols)
+
+    def solve(self, b):
+        """One solution x for the right-hand side B (length a.cols), or None."""
+        b = tuple(int(x) for x in b)
+        if len(b) != self.cols:
+            raise ValueError("right-hand side has wrong length")
+        c = self.U.mulVector(b)
+        z = [0] * self.V.cols
+        for i, ci in enumerate(c):
+            d = self.diag[i] if i < len(self.diag) else 0
+            if d:
+                if ci % d:
+                    return None
+                z[i] = ci // d
+            elif ci:
+                return None
+        x = self.V.mulVector(z)
+        if self.n:
+            x = tuple(e % self.n for e in x)
+        return tuple(x)
+
+
 def solveModular(a, b, n):
     """One solution x (length a.rows) of x @ A == B modulo n, or None.
 
     n == 0 means solve over the integers.  B is a sequence of length a.cols.
     """
-    if n < 0:
-        raise ValueError("modulus must be nonnegative")
-    b = tuple(int(x) for x in b)
-    if len(b) != a.cols:
-        raise ValueError("right-hand side has wrong length")
-    work = a
-    if n:
-        scaled = IntMatrix(tuple(tuple(n if i == j else 0 for j in range(a.cols)) for i in range(a.cols)), cols=a.cols)
-        work = a.vstack(scaled)
-    # x @ work == b  <=>  work^T @ x^T == b^T
-    at = work.transpose()
-    snf = smithNormalForm(at)
-    c = snf.U.mulVector(b)
-    diag = snf.diagonal()
-    z = [0] * at.cols
-    for i, ci in enumerate(c):
-        d = diag[i] if i < len(diag) else 0
-        if d:
-            if ci % d:
-                return None
-            z[i] = ci // d
-        elif ci:
-            return None
-    x = snf.V.mulVector(z)[:a.rows]
-    if n:
-        x = tuple(e % n for e in x)
-    return tuple(x)
+    return ModularSolver(a, n).solve(b)
 
 
 def homFinite(source, target):

@@ -57,6 +57,21 @@ def test_representations_text_signed_residues(capsys):
     assert "-1" in out  # 4 displayed symmetrically
 
 
+def test_representation_check_failure_exits_two(capsys, monkeypatch):
+    from foundry import cli
+    from foundry.matroid import Matroid
+
+    def wrongMatroid(rows, field, name=None):
+        return Matroid.fromBases(len(rows[0]), [tuple(range(len(rows)))])
+
+    monkeypatch.setattr(cli, "matroidOfMatrix", wrongMatroid)
+    assert run(["representations", "--matroid", "example52", "--field", "5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
+
+
 def test_morphisms_count_and_stats(capsys):
     code, doc = runJson(capsys, ["morphisms", "--matroid", "pappus",
                                  "--target", "gf:8", "--count", "--stats",

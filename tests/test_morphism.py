@@ -237,6 +237,22 @@ def test_sublattice_is_cached():
     assert sublatticeOf(p) is sublatticeOf(p)
 
 
+@pytest.mark.parametrize("name,q,count,searchCounts,sublatticeCounts", [
+    ("example52", 7, 4, (1, 4, 8, 4), (1, 0, 1, 14)),
+    ("pappus", 8, 18, (1, 18, 18, 18), (1, 0, 3, 58)),
+])
+def test_search_counters_frozen(name, q, count, searchCounts, sublatticeCounts):
+    """Factoring A_F once per sublattice leaves every counter as it was."""
+    p = computeFoundation(namedMatroid(name)).foundation
+    for _ in range(2):  # the second search reuses the sublattice's factorisations
+        stats = SearchStats()
+        assert len(searchMorphisms(p, gfPasture(q), stats=stats)) == count
+        d = stats.asDict()
+        assert (d["torsionHoms"], d["leafCandidates"], d["assembled"], d["valid"]) == searchCounts
+    c = sublatticeOf(p).counts
+    assert (c["p1"], c["p2"], c["p3"], c["p4"]) == sublatticeCounts
+
+
 def test_trivial_source_cases():
     # krasner needs (1, 1) to stay fundamental; no field satisfies that
     krasner = builtinPasture("krasner")

@@ -122,6 +122,18 @@ def test_partner_symmetry_and_pairs():
         assert set(p.fundamentalPairs()) == p.pairSet()
 
 
+def test_pair_order_is_first_seen_order():
+    for q in (4, 7, 9, 25, 97):
+        p = gfPasture(q)
+        expected = []
+        for h in p.hexagons:
+            for pair in h.orientedPairs():
+                if pair not in expected:
+                    expected.append(pair)
+        assert p.fundamentalPairs() == tuple(expected)
+        assert len(p.hexagons) == len(set(p.hexagons))
+
+
 def test_builtin_pastures():
     f1pm = builtinPasture("f1pm")
     assert f1pm.hexagons == () and f1pm.epsilon == (1,)

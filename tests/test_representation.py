@@ -129,6 +129,39 @@ def test_gp_validates_across_fields():
             assert gpToMatrix(fr, f)[0][m.n - 1] is not None
 
 
+def matrixReadOffGP(fr, f):
+    """Reference for gpToMatrix: the reduced matrix read off the whole GP function."""
+    gp = gpFromMorphism(fr, f)
+    field = f.target.field
+    rows = []
+    for i, a in enumerate(fr.basis):
+        row = []
+        for j in range(fr.matroid.n):
+            if j in fr.basis:
+                row.append(int(j == a))
+                continue
+            v = gp.value(sorted(set(fr.basis) - {a} | {j}))
+            if v is None:
+                row.append(0)
+            else:  # GF(2) has the trivial unit group, whose element is ()
+                row.append(field.exp(v[0]) if v else 1)
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+@pytest.mark.parametrize("name", ["example52", "fano", "nonfano", "ag23", "t8",
+                                  "uniform:2,4", "uniform:2,5", "pappus"])
+def test_gp_to_matrix_matches_whole_gp(name):
+    m = namedMatroid(name)
+    fr = computeFoundation(m)
+    seen = 0
+    for q in (2, 3, 4, 5, 7, 8, 9):
+        for f in searchMorphisms(fr.foundation, gfPasture(q)):
+            assert gpToMatrix(fr, f) == matrixReadOffGP(fr, f)
+            seen += 1
+    assert seen
+
+
 def test_gp_to_matrix_rejects_fieldless_target():
     m = namedMatroid("vamos")
     fr = computeFoundation(m)

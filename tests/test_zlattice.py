@@ -9,12 +9,15 @@ from foundry.zlattice import (
     GroupHom,
     GroupPresentation,
     IntMatrix,
+    ModularSolver,
     cokernelPresentation,
     determinant,
     homFinite,
     identityHom,
+    smithForm,
     smithNormalForm,
     solveModular,
+    spansLattice,
 )
 
 
@@ -106,6 +109,62 @@ def test_cokernel_random_structure():
         for j in range(m):
             assert pres.isZero(proj.matrix.mulVector(rel.column(j)))
         assert proj.isSurjective()
+
+
+def test_transform_free_kernel_matches_full_form():
+    rng = random.Random(20261018)
+    shapes = [(0, 3), (3, 0), (1, 1)] + [(rng.randint(1, 9), rng.randint(1, 12)) for _ in range(80)]
+    for rows, cols in shapes:
+        a = randomMatrix(rng, rows, cols, bound=rng.choice([1, 3, 30]))
+        if rows == 0:
+            a = IntMatrix([], cols=cols)
+        full = smithNormalForm(a)
+        bare = smithForm(a)
+        assert bare.U is None and bare.V is None
+        assert bare.D == full.D
+        assert bare.diagonal() == full.diagonal()
+        onlyU = smithForm(a, withU=True)
+        assert onlyU.U == full.U and onlyU.V is None and onlyU.D == full.D
+        onlyV = smithForm(a, withV=True)
+        assert onlyV.V == full.V and onlyV.U is None
+        pres, _ = cokernelPresentation(a)
+        assert spansLattice(a) == (pres.dim == 0)
+
+
+def referenceSolve(a, b, n):
+    """One solution of x @ A == B mod n via a fresh full Smith form per call:
+    the particular solution assemble's enumeration order depends on."""
+    work = a
+    if n:
+        work = a.vstack(IntMatrix([[n if i == j else 0 for j in range(a.cols)]
+                                   for i in range(a.cols)], cols=a.cols))
+    snf = smithNormalForm(work.transpose())
+    c = snf.U.mulVector(b)
+    diag = snf.diagonal()
+    z = [0] * work.rows
+    for i, ci in enumerate(c):
+        d = diag[i] if i < len(diag) else 0
+        if (d and ci % d) or (not d and ci):
+            return None
+        z[i] = ci // d if d else 0
+    x = snf.V.mulVector(z)[:a.rows]
+    return tuple(e % n for e in x) if n else tuple(x)
+
+
+def test_factored_solver_gives_the_reference_solution():
+    rng = random.Random(3031)
+    for _ in range(40):
+        r = rng.randint(1, 4)
+        a = randomMatrix(rng, r, r, bound=9)
+        for n in (0, 2, 6, 8, 13):
+            solver = ModularSolver(a, n)
+            for _ in range(6):
+                b = tuple(rng.randint(-20, 20) for _ in range(r))
+                assert solver.solve(b) == referenceSolve(a, b, n)
+    with pytest.raises(ValueError):
+        ModularSolver(IntMatrix([[1]]), -1)
+    with pytest.raises(ValueError):
+        ModularSolver(IntMatrix([[1]]), 0).solve((1, 2))
 
 
 def bruteSolveMod(a, b, n):

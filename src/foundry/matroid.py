@@ -35,7 +35,7 @@ class BasisExchangeGraph:
 class Matroid:
     """A matroid given by its full list of bases, kept in lexicographic order."""
 
-    __slots__ = ("n", "rank", "bases", "basesSet", "name")
+    __slots__ = ("n", "rank", "bases", "basesSet", "name", "_masks")
 
     def __init__(self, n, rank, bases, name=None):
         self.n = n
@@ -43,6 +43,7 @@ class Matroid:
         self.bases = bases
         self.basesSet = frozenset(bases)
         self.name = name
+        self._masks = tuple(sum(1 << e for e in b) for b in bases)
 
     @classmethod
     def fromBases(cls, n, bases, name=None, validate=True):
@@ -103,8 +104,11 @@ class Matroid:
         )
 
     def rankOf(self, subset):
-        s = set(subset)
-        return max(len(s & set(b)) for b in self.bases)
+        """The largest intersection with a basis, counted on bitmasks."""
+        mask = 0
+        for e in subset:
+            mask |= 1 << e
+        return max(map(int.bit_count, map(mask.__and__, self._masks)))
 
     def closure(self, subset):
         s = set(subset)

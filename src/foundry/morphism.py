@@ -8,6 +8,14 @@ assembled into integer matrices, and every assembled matrix is validated
 against the full morphism criterion (epsilon preserved, fundamental pairs to
 fundamental pairs), which subsumes the necessary conditions used for
 pruning.
+
+The search runs on plain integers.  Each rule target and each half of each
+type-four check is a slot, a torsion constant plus an integer combination
+of the images chosen so far; a sublattice compiles its slots once
+(SlotProgram), and the search carries their partial sums down the tree as
+one list of ints per target coordinate.  Candidates come from tables built
+once per search.  Fields (one coordinate), GF(2) and krasner (none) and
+targets with free rank all run this one path.
 """
 
 from __future__ import annotations
@@ -172,6 +180,80 @@ class _Record:
         return self.c0, tuple(coeffs)
 
 
+class SlotProgram:
+    """The linear forms the DFS evaluates, compiled once per sublattice.
+
+    Every t1/t2 rule target and both halves (yU, yV) of every type-four
+    entry is a torsion constant tau plus an integer combination of the
+    images y_1..y_r; each of them is a slot.  Slots are ordered by the level
+    that reads them, deepest level first, so the slots still live after
+    level l are a prefix of those live before it.
+
+    A node at level l holds its parent's slot values, which include
+    y_1..y_(l-2), and its parent's image y_(l-1).  Its reads add the
+    parent's image on the fly, and it folds that image into its live slots
+    only once one of its candidates survives, so a node whose candidates
+    all fail never pays for the carry.
+
+    taus: each slot's constant (a torsion element of the source), in slot order.
+    levels: per level l, (kind, ruleRead, ruleCoeffs, entries, carry):
+      kind        the rule kind ("t1", "t2", "t3first", "t3second");
+      ruleRead    (slot, coefficient on y_(l-1)) of the slot holding
+                  tau - sum(c_i y_i, i < l) for t1/t2, else None;
+      ruleCoeffs  (c_l,) for t1, (c_l, c_(l+1)) for t2, () otherwise;
+      entries     (kU, uPrev, uL, kV, vPrev, vL, c0u, c0v) per type-four
+                  entry, one of each swapped pair: its two slots, their
+                  coefficients on y_(l-1) and y_l, and its scalings c0;
+      carry       the coefficient on y_(l-1) of every slot live after level l.
+    Level 1 has no parent image; its coefficients on "y_0" are zero.
+    """
+
+    __slots__ = ("taus", "levels")
+
+    def __init__(self, sub):
+        r = len(sub.rules)
+        slots = []  # (tau, coefficients on y_1..y_(readLevel - 1), readLevel)
+        reads = {}
+        for level in range(r, 0, -1):
+            rule = sub.rules[level - 1]
+            ruleSlot, ruleCoeffs = None, ()
+            if rule[0] in ("t1", "t2"):
+                tau, coeffs = rule[1], rule[2]
+                ruleSlot = len(slots)
+                ruleCoeffs = coeffs[level - 1:]
+                slots.append((tau, tuple(-c for c in coeffs[:level - 1]), level))
+            entries = []
+            seen = set()
+            for entry in sub.typeFourLists[level - 1]:
+                # the swapped pair's entry is the same check, because the
+                # target's fundamental pairs are closed under swapping
+                if entry[3:] + entry[:3] in seen:
+                    continue
+                seen.add(entry)
+                c0u, cu, tauU, c0v, cv, tauV = entry
+                entries.append((len(slots), cu[-1], len(slots) + 1, cv[-1], c0u, c0v))
+                slots.append((tauU, cu[:-1], level))
+                slots.append((tauV, cv[:-1], level))
+            reads[level] = (rule[0], ruleSlot, ruleCoeffs, entries)
+        self.taus = tuple(tau for tau, _, _ in slots)
+        levels = []
+        for level in range(1, r + 1):
+            kind, ruleSlot, ruleCoeffs, entries = reads[level]
+            # the slots read at this level or later are a prefix
+            prev = [coeffs[level - 2] if level > 1 else 0
+                    for _, coeffs, readLevel in slots if readLevel >= level]
+            live = sum(1 for _, _, readLevel in slots if readLevel > level)
+            levels.append((
+                kind,
+                None if ruleSlot is None else (ruleSlot, prev[ruleSlot]),
+                ruleCoeffs,
+                tuple((kU, prev[kU], uL, kV, prev[kV], vL, c0u, c0v)
+                      for kU, uL, kV, vL, c0u, c0v in entries),
+                tuple(prev[:live]),
+            ))
+        self.levels = tuple(levels)
+
+
 class SublatticeData:
     """Output of the sublattice construction.
 
@@ -184,12 +266,12 @@ class SublatticeData:
     the primitive dependency data of pairs that became doubly dependent.
     counts: how many pairs of each kind produced rules or list entries.
     freeMatrix: A_F, whose columns are the generators' free parts.  Its
-    cokernel and its factorisation per modulus are built on first use and
-    kept for the life of the source pasture.
+    cokernel, its factorisation per modulus and the search's slot program
+    are built on first use and kept for the life of the source pasture.
     """
 
     __slots__ = ("generators", "rules", "typeFourLists", "counts", "freeMatrix",
-                 "_quotient", "_solvers")
+                 "_quotient", "_solvers", "_program")
 
     def __init__(self, generators, rules, typeFourLists, counts, freeMatrix):
         self.generators = generators
@@ -199,6 +281,7 @@ class SublatticeData:
         self.freeMatrix = freeMatrix
         self._quotient = None
         self._solvers = {}
+        self._program = None
 
     def quotient(self):
         """(coker(A_F), projection); finite because A_F has full rank."""
@@ -215,6 +298,12 @@ class SublatticeData:
         if solver is None:
             solver = self._solvers[n] = ModularSolver(self.freeMatrix, n)
         return solver
+
+    def program(self):
+        """The search's SlotProgram."""
+        if self._program is None:
+            self._program = SlotProgram(self)
+        return self._program
 
 
 def fullRankSublattice(pasture):
@@ -262,7 +351,8 @@ def fullRankSublattice(pasture):
                 vec = [p * s - a * t for s, t in zip(vec, row.vec)]
                 rowCombo = list(row.combo) + [0] * (len(combo) - len(row.combo))
                 combo = [p * s - a * t for s, t in zip(combo, rowCombo)]
-        assert any(vec), "generator does not increase the rank"
+        if not any(vec):
+            raise RuntimeError("sublattice generator does not increase the rank")
         g = gcd(_vecGcd(vec), _vecGcd(combo))
         if g > 1:
             vec = [x // g for x in vec]
@@ -291,7 +381,8 @@ def fullRankSublattice(pasture):
         for c, x in zip(coeffs, generators):
             if c:
                 total = group.add(total, group.scale(-c, x))
-        assert not any(group.freePart(total))
+        if any(group.freePart(total)):
+            raise RuntimeError("type-four witness has a nonzero free part")
         return total
 
     def recordNewTypeFour():
@@ -371,7 +462,8 @@ def fullRankSublattice(pasture):
             for c, x in zip(ruleCoeffs[:-1], generators):
                 if c:
                     tau = group.add(tau, group.scale(c, x))
-            assert not any(group.freePart(tau))
+            if any(group.freePart(tau)):
+                raise RuntimeError("type-2 rule witness has a nonzero free part")
             rules.append(("t2", tau, ruleCoeffs))
             consumed.add((u, v))
             consumed.add((v, u))
@@ -510,8 +602,151 @@ def assemble(p1, p2, sub, psi, images, stats=None):
     return out
 
 
+class _Search:
+    """One search's target tables and its depth-first walk over the levels.
+
+    The target group is kept coordinate-major: slot values are one list of
+    ints per target coordinate, torsion coordinates reduced mod a_i and free
+    ones unreduced (modulus 0 below), and images are coordinate tuples.
+    Candidates come from tables built once here: the partners of each
+    fundamental element, and for every t1/t2 rule the candidates of each
+    value of its slot.  A type-four entry looks its pair (yU, yV), flattened
+    into one tuple, up in the target's fundamental pairs scaled by (c0u, c0v).
+    """
+
+    __slots__ = ("p1", "p2", "sub", "findOne", "findIso", "stats", "found", "mods",
+                 "freeStart", "fundamentalElements", "partners", "levels", "images", "psi")
+
+    def __init__(self, p1, p2, sub, findOne, findIso, stats):
+        self.p1, self.p2, self.sub = p1, p2, sub
+        self.findOne, self.findIso, self.stats = findOne, findIso, stats
+        self.found = []
+        g2 = p2.group
+        self.mods = g2.invariants + (0,) * g2.freeRank
+        self.freeStart = len(g2.invariants)
+        fe2 = self.fundamentalElements = p2.fundamentalElements()
+        fp2 = p2.fundamentalPairs()
+        partners = {}
+        for x, y in sorted(p2.pairSet()):
+            partners.setdefault(x, []).append(y)
+        self.partners = partners = {x: tuple(ys) for x, ys in partners.items()}
+        tables = {}
+        pairSets = {}
+        levels = []
+        for kind, ruleRead, ruleCoeffs, entries, carry in sub.program().levels:
+            table = tables.get(ruleCoeffs)
+            if table is None and kind == "t1":
+                # c_l * x -> the partners of every such x, in fe2 order
+                cl, = ruleCoeffs
+                table = {}
+                for x in fe2:
+                    table.setdefault(g2.scale(cl, x), {}).update(dict.fromkeys(partners[x]))
+                table = tables[ruleCoeffs] = {k: tuple(v) for k, v in table.items()}
+            elif table is None and kind == "t2":
+                # c_l * x + c_(l+1) * y -> every such x, in fp2 order
+                cl, cnext = ruleCoeffs
+                table = {}
+                for x, y in fp2:
+                    table.setdefault(g2.add(g2.scale(cl, x), g2.scale(cnext, y)), {})[x] = None
+                table = tables[ruleCoeffs] = {k: tuple(v) for k, v in table.items()}
+            checks = []
+            for kU, uPrev, uL, kV, vPrev, vL, c0u, c0v in entries:
+                pairs = pairSets.get((c0u, c0v))
+                if pairs is None:
+                    pairs = pairSets[c0u, c0v] = frozenset(
+                        g2.scale(c0u, z1) + g2.scale(c0v, z2) for z1, z2 in fp2)
+                checks.append((((kU, uPrev, uL), (kV, vPrev, vL)), pairs))
+            levels.append((kind, ruleRead, table, tuple(checks), carry))
+        self.levels = tuple(levels)
+
+    def run(self, psi):
+        """Search below one torsion block; True when findOne has its answer."""
+        self.psi = psi
+        self.images = []
+        n1 = len(self.p1.group.invariants)
+        free = (0,) * self.p2.group.freeRank
+        mapped = {}
+        starts = []
+        for tau in self.sub.program().taus:
+            start = mapped.get(tau)
+            if start is None:
+                start = mapped[tau] = psi.apply(tau[:n1]) + free
+            starts.append(start)
+        rows = [[start[i] for start in starts] for i in range(len(self.mods))]
+        return self.descend(1, rows, (0,) * len(self.mods), [])
+
+    def descend(self, level, above, parent, echelon):
+        """Visit a node: above holds the parent's slot values, parent its image."""
+        if level > len(self.levels):
+            self.stats.leafCandidates += 1
+            for hom in assemble(self.p1, self.p2, self.sub, self.psi, tuple(self.images),
+                                self.stats):
+                if self.emit(hom):
+                    return True
+            return False
+        kind, ruleRead, table, checks, carry = self.levels[level - 1]
+        mods = self.mods
+        if table is not None:
+            k, c = ruleRead
+            value = tuple([(row[k] + c * p) % m if m else row[k] + c * p
+                           for row, p, m in zip(above, parent, mods)])
+            candidates = table.get(value, ())
+        elif kind == "t3first":
+            candidates = self.fundamentalElements
+        else:
+            candidates = self.partners[parent]
+        rows = None
+        findIso, images = self.findIso, self.images
+        for y in candidates:
+            if findIso:
+                grown = _freeRankIncreases(echelon, y[self.freeStart:])
+                if grown is None:
+                    continue
+            else:
+                grown = echelon
+            if checks:
+                coords = tuple(zip(above, parent, y, mods))
+            for halves, pairs in checks:
+                # (yU, yV) as one tuple: yU's coordinates, then yV's
+                key = tuple([(row[k] + a * p + b * t) % m if m else row[k] + a * p + b * t
+                             for k, a, b in halves for row, p, t, m in coords])
+                if key not in pairs:
+                    break
+            else:
+                if rows is None:
+                    rows = [[(s + c * p) % m for s, c in zip(row, carry)] if m
+                            else [s + c * p for s, c in zip(row, carry)]
+                            for row, p, m in zip(above, parent, mods)]
+                images.append(y)
+                if self.descend(level + 1, rows, y, grown):
+                    return True
+                images.pop()
+        return False
+
+    def emit(self, hom):
+        f = PastureMorphism(self.p1, self.p2, hom)
+        ok = isIsomorphism(f) if self.findIso else isMorphism(f)
+        if ok:
+            self.stats.valid += 1
+            self.found.append(f)
+            return self.findOne
+        return False
+
+
 def searchMorphisms(p1, p2, findOne=False, findIso=False, stats=None):
     """All pasture morphisms from p1 to p2, canonically sorted.
+
+    For each torsion block psi, a depth-first search picks the image of one
+    sublattice generator per level.  Each rule target and each half of each
+    type-four pair is a slot of the sublattice's SlotProgram: its value
+    starts at psi(tau), and a picked image y adds c * y to every live slot,
+    one multiply-add per slot and target coordinate, folded in by the child
+    node once one of its own candidates survives.  Rule candidates come from
+    tables built once per search (partners, t1 and t2 lookups).  Type-four
+    entries are checked in order and stop at the first that fails; each
+    costs a multiply-add per coordinate and half and one set lookup.  Every
+    leaf is assembled and every assembled map validated by isMorphism
+    (isIsomorphism under findIso).
 
     findOne stops at the first valid morphism in search order.  findIso
     restricts to isomorphisms: torsion blocks must be bijective, candidate
@@ -528,122 +763,12 @@ def searchMorphisms(p1, p2, findOne=False, findIso=False, stats=None):
             return []
     psis = torsionHoms(p1, p2, isoOnly=findIso)
     stats.torsionHoms = len(psis)
-    g2 = p2.group
-    r = len(sub.generators)
-    n1 = len(p1.group.invariants)
-    fe2 = p2.fundamentalElements()
-    fp2 = p2.fundamentalPairs()
-    scaledPairCache = {}
-
-    def scaledPairs(c0u, c0v):
-        key = (c0u, c0v)
-        if key not in scaledPairCache:
-            scaledPairCache[key] = {
-                (g2.scale(c0u, z1), g2.scale(c0v, z2)) for z1, z2 in fp2
-            }
-        return scaledPairCache[key]
-
-    found = []
-
-    def emit(hom):
-        f = PastureMorphism(p1, p2, hom)
-        ok = isIsomorphism(f) if findIso else isMorphism(f)
-        if ok:
-            stats.valid += 1
-            found.append(f)
-            return findOne
-        return False
-
-    def combination(coeffs, images):
-        acc = [0] * g2.dim
-        for c, y in zip(coeffs, images):
-            if c:
-                for i, x in enumerate(y):
-                    acc[i] += c * x
-        return g2.reduce(acc)
-
-    stop = False
+    search = _Search(p1, p2, sub, findOne, findIso, stats)
     for psi in psis:
-        psiCache = {}
-
-        def mapTorsion(vec):
-            cached = psiCache.get(vec)
-            if cached is None:
-                cached = tuple(psi.apply(vec[:n1])) + (0,) * g2.freeRank
-                psiCache[vec] = cached
-            return cached
-
-        if r == 0:
-            stats.leafCandidates += 1
-            for hom in assemble(p1, p2, sub, psi, (), stats):
-                if emit(hom):
-                    stop = True
-                    break
-            if stop:
-                break
-            continue
-
-        def candidatesAt(level, images):
-            rule = sub.rules[level - 1]
-            if rule[0] == "t1":
-                tau, coeffs = rule[1], rule[2]
-                target = g2.add(mapTorsion(tau), g2.neg(combination(coeffs[:-1], images)))
-                cl = coeffs[-1]
-                out = []
-                for x in fe2:
-                    if g2.scale(cl, x) == target:
-                        for y in p2.partnersOf(x):
-                            if y not in out:
-                                out.append(y)
-                return out
-            if rule[0] == "t2":
-                tau, coeffs = rule[1], rule[2]
-                target = g2.add(mapTorsion(tau), g2.neg(combination(coeffs[:-2], images)))
-                cl, cnext = coeffs[-2], coeffs[-1]
-                out = []
-                for x, y in fp2:
-                    if g2.add(g2.scale(cl, x), g2.scale(cnext, y)) == target:
-                        if x not in out:
-                            out.append(x)
-                return out
-            if rule[0] == "t3first":
-                return list(fe2)
-            return list(p2.partnersOf(images[-1]))
-
-        def passesTypeFour(level, images, y):
-            full = images + [y]
-            for c0u, cu, tauU, c0v, cv, tauV in sub.typeFourLists[level - 1]:
-                yU = g2.add(mapTorsion(tauU), combination(cu, full))
-                yV = g2.add(mapTorsion(tauV), combination(cv, full))
-                if (yU, yV) not in scaledPairs(c0u, c0v):
-                    return False
-            return True
-
-        def dfs(level, images, echelon):
-            if level > r:
-                stats.leafCandidates += 1
-                for hom in assemble(p1, p2, sub, psi, tuple(images), stats):
-                    if emit(hom):
-                        return True
-                return False
-            for y in candidatesAt(level, images):
-                if findIso:
-                    grown = _freeRankIncreases(echelon, g2.freePart(y))
-                    if grown is None:
-                        continue
-                else:
-                    grown = echelon
-                if not passesTypeFour(level, images, y):
-                    continue
-                if dfs(level + 1, images + [y], grown):
-                    return True
-            return False
-
-        if dfs(1, [], []):
+        if search.run(psi):
             break
-
     unique = {}
-    for f in found:
+    for f in search.found:
         unique.setdefault(f.sortKey(), f)
     ordered = [unique[k] for k in sorted(unique)]
     return ordered[:1] if findOne else ordered

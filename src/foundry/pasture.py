@@ -184,11 +184,17 @@ def gfPasture(q):
         epsilon = ()
     else:
         epsilon = (field.log(field.neg(1)),)
+    # One head per S3 orbit {a, 1-a, 1/a, 1-1/a, 1/(1-a), a/(a-1)}: the
+    # closure of any member is the same hexagon.
     heads = []
-    for a in range(1, q):
+    seen = set()
+    inv = field.inv
+    for a in range(2, q):
+        if a in seen:
+            continue
         b = field.sub(1, a)
-        if b:
-            heads.append(((field.log(a),) if q >= 3 else (), (field.log(b),) if q >= 3 else ()))
+        seen.update((a, b, inv(a), field.sub(1, inv(a)), inv(b), field.mul(a, inv(field.neg(b)))))
+        heads.append(((field.log(a),), (field.log(b),)))
     return Pasture(group, epsilon, heads, name="gf:%d" % q, field=field)
 
 

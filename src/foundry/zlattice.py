@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 from math import gcd, prod
+from operator import mod, mul
 
 
 class IntMatrix:
@@ -83,7 +84,7 @@ class IntMatrix:
         vec = tuple(vec)
         if len(vec) != self.cols:
             raise ValueError("vector length mismatch")
-        return tuple(sum(a * b for a, b in zip(row, vec)) for row in self.data)
+        return tuple(sum(map(mul, row, vec)) for row in self.data)
 
     def hstack(self, other):
         if self.rows != other.rows:
@@ -291,10 +292,10 @@ class GroupPresentation:
     def reduce(self, vec):
         """Canonical coordinates: torsion entries mod a_i, free entries as-is."""
         vec = tuple(vec)
-        if len(vec) != self.dim:
+        invariants = self.invariants
+        if len(vec) != len(invariants) + self.freeRank:
             raise ValueError("element has wrong length")
-        head = tuple(x % a for x, a in zip(vec, self.invariants))
-        return head + vec[len(self.invariants):]
+        return tuple(map(mod, vec, invariants)) + vec[len(invariants):]
 
     def add(self, *vecs):
         total = [0] * self.dim

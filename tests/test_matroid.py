@@ -86,6 +86,17 @@ def test_rank_of_uniform():
         assert u.rankOf(s) == min(len(s), 3)
 
 
+def test_rank_matches_basis_intersection_definition():
+    """rankOf counts on bitmasks; the definition intersects with every basis."""
+    for name in sorted(NAMED_BASIS_COUNTS) + ["uniform(3,7)"]:
+        base = namedMatroid(name)
+        for m in (base, base.dual()):
+            bases = [set(b) for b in m.bases]
+            for size in range(m.n + 1):
+                for s in itertools.combinations(range(m.n), size):
+                    assert m.rankOf(s) == max(len(set(s) & b) for b in bases), (name, s)
+
+
 def test_exchange_validation_rejects_bad_data():
     with pytest.raises(InvalidMatroidError):
         Matroid.fromBases(4, [(0, 1), (2, 3)])

@@ -134,6 +134,22 @@ def test_pair_order_is_first_seen_order():
         assert len(p.hexagons) == len(set(p.hexagons))
 
 
+def test_one_head_per_orbit_gives_the_all_heads_pasture():
+    """gfPasture passes one hexagon head per S3 orbit; the reference passes
+    all q - 2 heads (a, 1 - a) and must canonicalise to the same pasture."""
+    for q in range(2, 100):
+        try:
+            f = FiniteField(q)
+        except FieldError:
+            continue
+        p = gfPasture(q)
+        group = GroupPresentation([q - 1] if q >= 3 else [], 0)
+        heads = [((f.log(a),), (f.log(f.sub(1, a)),)) for a in range(2, q)]
+        reference = Pasture(group, p.epsilon, heads)
+        assert [h.pairs for h in p.hexagons] == [h.pairs for h in reference.hexagons], q
+        assert p.fundamentalPairs() == reference.fundamentalPairs(), q
+
+
 def test_builtin_pastures():
     f1pm = builtinPasture("f1pm")
     assert f1pm.hexagons == () and f1pm.epsilon == (1,)

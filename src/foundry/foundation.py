@@ -76,12 +76,6 @@ def crossRatio(ambient, prefix, k1, k2, k3, k4):
     return tuple(vec)
 
 
-def degreeMap(ambient):
-    """Total degree in the basis symbols; epsilon has degree zero."""
-    row = [0] + [1] * len(ambient.matroid.bases)
-    return GroupHom(ambient.pres, GroupPresentation([], 1), IntMatrix([row]))
-
-
 def _nearBases(m):
     return [nb for nb in m.nonbases() if m.rankOf(nb) == m.rank - 1]
 

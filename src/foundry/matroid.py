@@ -9,10 +9,26 @@ targets.
 from __future__ import annotations
 
 import itertools
+import math
+
+# The most r-subsets a ground set may have (and the most elements it may
+# have).  Bases, nonbases and rank queries all enumerate or store r-subsets,
+# so a larger C(n, r) is refused before anything is listed.
+MAX_SUBSETS = 10_000
 
 
 class InvalidMatroidError(ValueError):
     """Raised when input data fails the matroid axioms or is malformed."""
+
+
+def _checkSize(n, rank):
+    """Refuse a rank outside [0, n] and ground sets with more than
+    MAX_SUBSETS elements or r-subsets."""
+    if not (0 <= rank <= n):
+        raise InvalidMatroidError("rank out of range")
+    if n > MAX_SUBSETS or math.comb(n, rank) > MAX_SUBSETS:
+        raise InvalidMatroidError(
+            "n = %d, rank %d: more than %d elements or r-subsets" % (n, rank, MAX_SUBSETS))
 
 
 class BasisExchangeGraph:
@@ -57,6 +73,7 @@ class Matroid:
                 raise InvalidMatroidError("bases must all be r-subsets")
             if b and (b[0] < 0 or b[-1] >= n):
                 raise InvalidMatroidError("basis element out of range")
+        _checkSize(n, rank)
         m = cls(n, rank, tuple(cleaned), name=name)
         if validate:
             m._checkExchange()
@@ -65,8 +82,7 @@ class Matroid:
     @classmethod
     def fromNonbases(cls, n, rank, nonbases, name=None, validate=True):
         n, rank = int(n), int(rank)
-        if not (0 <= rank <= n):
-            raise InvalidMatroidError("rank out of range")
+        _checkSize(n, rank)
         bad = {tuple(sorted(int(e) for e in s)) for s in nonbases}
         for s in bad:
             if len(s) != rank or len(set(s)) != rank:
@@ -234,6 +250,7 @@ def namedMatroid(name):
         r, n = int(parts[0]), int(parts[1])
         if not (0 <= r <= n):
             raise InvalidMatroidError("uniform(r,n) needs 0 <= r <= n")
+        _checkSize(n, r)
         bases = tuple(itertools.combinations(range(n), r))
         return Matroid(n, r, bases, name="uniform(%d,%d)" % (r, n))
     if key in _NAMED_NONBASES:

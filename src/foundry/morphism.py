@@ -20,7 +20,7 @@ targets with free rank all run this one path.
 
 from __future__ import annotations
 
-from math import gcd
+from math import gcd, lcm
 
 from .zlattice import (
     GroupHom,
@@ -35,13 +35,6 @@ from .zlattice import (
 
 class NotGeneratedByFundamentalElements(ValueError):
     """The source units are not generated by fundamental elements and epsilon."""
-
-
-def _vecGcd(vec):
-    g = 0
-    for x in vec:
-        g = gcd(g, x)
-    return g
 
 
 class PastureMorphism:
@@ -125,59 +118,32 @@ class _Row:
 
 
 class _Record:
-    """Reduced residual of one fundamental element against the echelon rows.
+    """One fundamental element's free residual against the echelon rows.
 
-    Invariant: res == c0 * freePart(element) - sum(coeffs[i] * freePart(x_i))
-    with res zero at every pivot column, c0 > 0 and gcd(res, c0, coeffs) == 1.
-    The element is dependent exactly when res vanishes; then (c0, coeffs) is
-    its primitive dependency on the generators.
+    res is sparse ({column: nonzero entry}), primitive, its first nonzero
+    entry positive and zero at every pivot column: the direction of the
+    element's free part modulo the span of the generators.  It is None once
+    the element is dependent.  dependency holds the element's (c0, coeffs,
+    witness), computed when first read after it became dependent; see
+    fullRankSublattice.
     """
 
-    __slots__ = ("res", "c0", "coeffs", "norm")
+    __slots__ = ("element", "res", "dependency")
 
-    def __init__(self, freePart):
-        self.res = list(freePart)
-        self.c0 = 1
-        self.coeffs = []
-        self._renormalize()
+    def __init__(self, element, freePart):
+        self.element = element
+        res = {k: x for k, x in enumerate(freePart) if x}
+        self.res = _primitive(res) if res else None
+        self.dependency = None
 
-    def dependent(self):
-        return self.norm is None
 
-    def _renormalize(self):
-        g = gcd(_vecGcd(self.res), gcd(self.c0, _vecGcd(self.coeffs)))
-        if g > 1:
-            self.res = [x // g for x in self.res]
-            self.c0 //= g
-            self.coeffs = [x // g for x in self.coeffs]
-        if any(self.res):
-            g = _vecGcd(self.res)
-            norm = [x // g for x in self.res]
-            if next(x for x in norm if x) < 0:
-                norm = [-x for x in norm]
-            self.norm = tuple(norm)
-        else:
-            self.norm = None
-
-    def reduceAgainst(self, row):
-        """One fraction-free reduction step at the row's pivot column."""
-        a = self.res[row.pivot]
-        if not a:
-            return
-        p = row.vec[row.pivot]
-        self.res = [p * x - a * y for x, y in zip(self.res, row.vec)]
-        self.c0 *= p
-        width = max(len(self.coeffs), len(row.combo))
-        coeffs = [p * x for x in self.coeffs] + [0] * (width - len(self.coeffs))
-        for i, c in enumerate(row.combo):
-            coeffs[i] += a * c
-        self.coeffs = coeffs
-        self._renormalize()
-
-    def dependency(self, level):
-        """(c0, coeffs padded to level) with c0 > 0 and joint gcd 1."""
-        coeffs = list(self.coeffs) + [0] * (level - len(self.coeffs))
-        return self.c0, tuple(coeffs)
+def _primitive(res):
+    """A nonzero sparse vector divided by its gcd, signed so that its first
+    nonzero entry is positive."""
+    g = gcd(*res.values())
+    if res[min(res)] < 0:
+        g = -g
+    return res if g == 1 else {k: x // g for k, x in res.items()}
 
 
 class SlotProgram:
@@ -310,10 +276,20 @@ def fullRankSublattice(pasture):
     """Choose free-rank many fundamental generators and record the forcing data.
 
     Scan order is fixed: hexagons in canonical order, pairs in closure order,
-    both orientations.  Preference per round: a pair whose first member is
-    already dependent (type 1), else an independent pair whose residuals are
-    proportional (type 2, the first member is added), else a pair spanning
-    two new directions (type 3, both members added).
+    both orientations.  Preference per round: the first pair in scan order
+    whose first member is already dependent (type 1), else the first
+    independent pair whose residuals are proportional (type 2, the first
+    member is added), else the first pair spanning two new directions (type
+    3, both members added).
+
+    Each piece of work is done once.  A record keeps only an element's free
+    residual, reduced against each new echelon row.  The jointly primitive
+    dependency (c0, coeffs) with c0 > 0 and the torsion witness
+    c0 * element - sum(coeffs[i] * x_i) are unique, so they are computed from
+    the pairwise-clean rows when first read and then kept.  Type-1 candidates
+    are the pair indices collected as their first members become dependent;
+    pairs become type-four entries when their last member becomes dependent,
+    found through an index from elements to pairs.
     """
     group = pasture.group
     r = group.freeRank
@@ -327,24 +303,41 @@ def fullRankSublattice(pasture):
 
     pairs = pasture.fundamentalPairs()
     records = {}
-    for pair in pairs:
-        for e in pair:
+    pairsOf = {}  # element -> indices of the pairs it belongs to, in scan order
+    for k, pair in enumerate(pairs):
+        for e in dict.fromkeys(pair):
             if e not in records:
-                records[e] = _Record(group.freePart(e))
-    rows = []
+                records[e] = _Record(e, group.freePart(e))
+            pairsOf.setdefault(e, []).append(k)
+    independent = [rec for rec in records.values() if rec.res is not None]
+    bothIndependent = [k for k, (u, v) in enumerate(pairs)
+                       if records[u].res is not None and records[v].res is not None]
+    firstDependent = []  # pairs whose first member is dependent, the second maybe not
+    newlyDependent = []  # elements dependent since the last type-four round
+    rows = {}  # pivot column -> echelon row, in insertion order
     generators = []
+    generatorTerms = []  # the nonzero (coordinate, entry) of each generator
     rules = []
     typeFourLists = []
     counts = {"p1": 0, "p2": 0, "p3": 0, "p4": 0}
     consumed = set()
-    recorded = set()
+
+    def becameDependent(e):
+        newlyDependent.append(e)
+        for k in pairsOf[e]:
+            if pairs[k][0] == e:
+                firstDependent.append(k)
+
+    for rec in records.values():
+        if rec.res is None:
+            becameDependent(rec.element)
 
     def addGenerator(x):
         generators.append(group.reduce(x))
         level = len(generators)
         vec = list(group.freePart(x))
         combo = [0] * (level - 1) + [1]
-        for row in rows:
+        for row in rows.values():
             a = vec[row.pivot]
             if a:
                 p = row.vec[row.pivot]
@@ -353,7 +346,7 @@ def fullRankSublattice(pasture):
                 combo = [p * s - a * t for s, t in zip(combo, rowCombo)]
         if not any(vec):
             raise RuntimeError("sublattice generator does not increase the rank")
-        g = gcd(_vecGcd(vec), _vecGcd(combo))
+        g = gcd(*vec, *combo)
         if g > 1:
             vec = [x // g for x in vec]
             combo = [x // g for x in combo]
@@ -363,69 +356,116 @@ def fullRankSublattice(pasture):
             combo = [-x for x in combo]
         new = _Row(vec, tuple(combo))
         # keep rows pairwise clean: zero the new pivot column in old rows
-        for row in rows:
+        for row in rows.values():
             a = row.vec[new.pivot]
             if a:
                 p = new.vec[new.pivot]
                 row.vec = [p * s - a * t for s, t in zip(row.vec, new.vec)]
                 oldCombo = list(row.combo) + [0] * (len(new.combo) - len(row.combo))
                 row.combo = tuple(p * s - a * t for s, t in zip(oldCombo, new.combo))
-        rows.append(new)
-        for rec in records.values():
-            if not rec.dependent():
-                rec.reduceAgainst(new)
+        rows[new.pivot] = new
+        generatorTerms.append([(k, x) for k, x in enumerate(generators[-1]) if x])
+        p = vec[pivot]
+        terms = [(k, x) for k, x in enumerate(vec) if x]
+        still = []
+        for rec in independent:
+            res = rec.res
+            a = res.get(pivot)
+            if a:
+                res = {k: p * x for k, x in res.items()} if p != 1 else dict(res)
+                for k, x in terms:
+                    x = res.get(k, 0) - a * x
+                    if x:
+                        res[k] = x
+                    else:
+                        del res[k]
+                if not res:
+                    rec.res = None
+                    becameDependent(rec.element)
+                    continue
+                rec.res = _primitive(res)
+            still.append(rec)
+        independent[:] = still
 
-    def torsionWitness(c0, coeffs, element):
+    def primitiveTriple(e):
+        """The jointly primitive (c0, coeffs, res) with c0 > 0 and
+        res == c0 * freePart(e) - sum(coeffs[i] * freePart(x_i)) zero at every
+        pivot column; unique, because the rows are pairwise clean.  res is
+        left empty for a dependent element, where it is zero."""
+        f = group.freePart(e)
+        hits = [(rows[k], a) for k, a in enumerate(f) if a and k in rows]
+        c0 = 1
+        for row, a in hits:
+            p = row.vec[row.pivot]
+            c0 = lcm(c0, p // gcd(p, a))
+        coeffs = [0] * len(generators)
+        res = [c0 * x for x in f] if records[e].res is not None else []
+        for row, a in hits:
+            q = c0 * a // row.vec[row.pivot]
+            for i, c in enumerate(row.combo):
+                coeffs[i] += q * c
+            if res:
+                res = [s - q * t for s, t in zip(res, row.vec)]
+        g = gcd(c0, *coeffs, *res)
+        return c0 // g, tuple([c // g for c in coeffs]), [x // g for x in res]
+
+    def witness(c0, element, coeffs, what):
         """The torsion element c0 * element - sum(coeffs[i] * x_i)."""
-        total = group.scale(c0, element)
-        for c, x in zip(coeffs, generators):
+        total = [c0 * x for x in element]
+        for c, terms in zip(coeffs, generatorTerms):
             if c:
-                total = group.add(total, group.scale(-c, x))
+                for k, x in terms:
+                    total[k] -= c * x
+        total = group.reduce(total)
         if any(group.freePart(total)):
-            raise RuntimeError("type-four witness has a nonzero free part")
+            raise RuntimeError("%s witness has a nonzero free part" % what)
         return total
 
+    def dependency(e, level):
+        """(c0, coeffs padded to level, witness) of a dependent element."""
+        rec = records[e]
+        if rec.dependency is None:
+            c0, coeffs, _ = primitiveTriple(e)
+            rec.dependency = (c0, coeffs, witness(c0, e, coeffs, "type-four"))
+        c0, coeffs, tau = rec.dependency
+        return c0, coeffs + (0,) * (level - len(coeffs)), tau
+
     def recordNewTypeFour():
-        bucket = []
         level = len(generators)
-        for pair in pairs:
-            if pair in recorded or pair in consumed:
+        touched = sorted({k for e in newlyDependent for k in pairsOf[e]})
+        newlyDependent.clear()
+        bucket = []
+        for k in touched:
+            u, v = pair = pairs[k]
+            if pair in consumed or records[u].res is not None or records[v].res is not None:
                 continue
-            ru, rv = records[pair[0]], records[pair[1]]
-            if ru.dependent() and rv.dependent():
-                recorded.add(pair)
-                c0u, cu = ru.dependency(level)
-                c0v, cv = rv.dependency(level)
-                bucket.append((
-                    c0u, cu, torsionWitness(c0u, cu, pair[0]),
-                    c0v, cv, torsionWitness(c0v, cv, pair[1]),
-                ))
+            bucket.append(dependency(u, level) + dependency(v, level))
         counts["p4"] += len(bucket)
         typeFourLists.append(bucket)
 
+    def consume(pair):
+        consumed.add(pair)
+        consumed.add(pair[::-1])
+
     while len(generators) < r:
         t1 = t2 = t3 = None
-        for pair in pairs:
-            if pair in consumed or pair in recorded:
-                continue
-            ru, rv = records[pair[0]], records[pair[1]]
-            du, dv = ru.dependent(), rv.dependent()
-            if du and dv:
-                continue
-            if du:
-                t1 = pair
-                break  # the first type-1 pair in scan order is final
-            if dv:
-                continue
-            if ru.norm == rv.norm:
-                if t2 is None:
-                    t2 = pair
-            elif t3 is None:
-                t3 = pair
+        # a pair whose members are both dependent is never type 1 again
+        firstDependent = [k for k in firstDependent if records[pairs[k][1]].res is not None]
+        if firstDependent:
+            t1 = pairs[min(firstDependent)]
+        else:
+            bothIndependent = [k for k in bothIndependent if records[pairs[k][0]].res is not None
+                               and records[pairs[k][1]].res is not None]
+            for k in bothIndependent:
+                u, v = pairs[k]
+                if records[u].res == records[v].res:
+                    t2 = pairs[k]
+                    break  # no type-1 pair exists, so the first type-2 pair is final
+                if t3 is None:
+                    t3 = pairs[k]
         if t1 is not None:
             u, v = t1
-            c0, coeffs = records[u].dependency(len(generators))
-            tau = torsionWitness(c0, coeffs, u)
+            c0, coeffs, tau = dependency(u, len(generators))
             addGenerator(v)
             ruleCoeffs = tuple(-c for c in coeffs) + (c0,)
             lead = next(c for c in ruleCoeffs if c)
@@ -433,48 +473,38 @@ def fullRankSublattice(pasture):
                 ruleCoeffs = tuple(-c for c in ruleCoeffs)
                 tau = group.neg(tau)
             rules.append(("t1", tau, ruleCoeffs))
-            consumed.add((u, v))
-            consumed.add((v, u))
+            consume(t1)
             counts["p1"] += 1
             recordNewTypeFour()
         elif t2 is not None:
             u, v = t2
-            ru, rv = records[u], records[v]
+            cu0, lu, resU = primitiveTriple(u)
+            cv0, lv, resV = primitiveTriple(v)
             # primitive (alpha, beta) with alpha * res_u == beta * res_v
-            gu, gv = _vecGcd(ru.res), _vecGcd(rv.res)
-            su = 1 if next(x for x in ru.res if x) > 0 else -1
-            sv = 1 if next(x for x in rv.res if x) > 0 else -1
+            gu, gv = gcd(*resU), gcd(*resV)
+            su = 1 if next(x for x in resU if x) > 0 else -1
+            sv = 1 if next(x for x in resV if x) > 0 else -1
             g = gcd(gu, gv)
             alpha, beta = gv // g, su * sv * (gu // g)
-            lu = list(ru.coeffs) + [0] * (len(generators) - len(ru.coeffs))
-            lv = list(rv.coeffs) + [0] * (len(generators) - len(rv.coeffs))
-            cu0, cv0 = ru.c0, rv.c0
             addGenerator(u)
             before = tuple(-alpha * a + beta * b for a, b in zip(lu, lv))
             ruleCoeffs = before + (alpha * cu0, -beta * cv0)
-            g = _vecGcd(ruleCoeffs)
+            g = gcd(*ruleCoeffs)
             if g > 1:
                 ruleCoeffs = tuple(c // g for c in ruleCoeffs)
             lead = next(c for c in ruleCoeffs if c)
             if lead < 0:
                 ruleCoeffs = tuple(-c for c in ruleCoeffs)
-            tau = group.scale(ruleCoeffs[-1], v)
-            for c, x in zip(ruleCoeffs[:-1], generators):
-                if c:
-                    tau = group.add(tau, group.scale(c, x))
-            if any(group.freePart(tau)):
-                raise RuntimeError("type-2 rule witness has a nonzero free part")
+            tau = witness(ruleCoeffs[-1], v, [-c for c in ruleCoeffs[:-1]], "type-2 rule")
             rules.append(("t2", tau, ruleCoeffs))
-            consumed.add((u, v))
-            consumed.add((v, u))
+            consume(t2)
             counts["p2"] += 1
             recordNewTypeFour()
         elif t3 is not None:
             u, v = t3
             addGenerator(u)
             rules.append(("t3first",))
-            consumed.add((u, v))
-            consumed.add((v, u))
+            consume(t3)
             counts["p3"] += 1
             typeFourLists.append([])
             addGenerator(v)
@@ -544,7 +574,7 @@ def _freeRankIncreases(echelon, vec):
             work = [p * x - a * y for x, y in zip(work, row)]
     if not any(work):
         return None
-    g = _vecGcd(work)
+    g = gcd(*work)
     work = [x // g for x in work]
     pivot = next(i for i, x in enumerate(work) if x)
     if work[pivot] < 0:

@@ -124,9 +124,6 @@ class Pasture:
         x = self.group.reduce(x)
         return tuple(sorted(y for (a, y) in self._pairSet if a == x))
 
-    def isSlim(self):
-        return all(len(self.partnersOf(x)) == 1 for x in self.fundamentalElements())
-
     def hexagonTypes(self):
         return tuple(hexagonType(h) for h in self.hexagons)
 

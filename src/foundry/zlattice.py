@@ -1,8 +1,9 @@
 """Exact integer linear algebra for finitely generated abelian groups.
 
 Everything works over plain Python ints: Smith normal form, building each
-unimodular transform only for callers that read it, cokernel presentations,
-modular linear solves against a matrix factored once, and enumeration of
+unimodular transform only for callers that read it, a span check that
+inserts columns into an echelon basis, cokernel presentations, modular
+linear solves against a matrix factored once, and enumeration of
 homomorphisms between finite abelian groups.
 """
 
@@ -19,7 +20,7 @@ class IntMatrix:
     __slots__ = ("rows", "cols", "data")
 
     def __init__(self, data, cols=None):
-        data = tuple(tuple(int(x) for x in row) for row in data)
+        data = tuple(tuple(map(int, row)) for row in data)
         if data:
             cols = len(data[0]) if cols is None else cols
             for row in data:
@@ -53,7 +54,7 @@ class IntMatrix:
         for c in columns:
             if len(c) != dim:
                 raise ValueError("column length mismatch")
-        return cls(tuple(tuple(c[i] for c in columns) for i in range(dim)), cols=len(columns))
+        return cls(tuple(zip(*columns)) if columns else ((),) * dim, cols=len(columns))
 
     def entry(self, i, j):
         return self.data[i][j]
@@ -229,10 +230,67 @@ def smithNormalForm(a):
     return smithForm(a, withU=True, withV=True)
 
 
+def _xgcd(a, b):
+    """(g, s, t) with s * a + t * b == g == gcd(a, b)."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    if a < 0:
+        return -a, -s0, -t0
+    return a, s0, t0
+
+
 def spansLattice(a):
-    """Whether the columns of a span all of Z^a.rows (every invariant factor is 1)."""
-    diag = smithForm(a).diagonal()
-    return len(diag) == a.rows and all(x == 1 for x in diag)
+    """Whether the columns of a span all of Z^a.rows.
+
+    The columns go one at a time, as sparse vectors, into an echelon basis of
+    the lattice they span: at the column's first nonzero row, the basis
+    vector there and the column are replaced by a unimodular combination
+    whose pivot is their extended gcd, and the column moves on with a zero
+    in that row.  The columns span Z^a.rows exactly when every row holds a
+    pivot equal to 1, and the answer is True as soon as that happens, with
+    no Smith elimination (Kannan and Bachem, SIAM J. Comput. 1979).
+    """
+    basis = {}  # row -> the basis vector whose first nonzero entry is there
+    missing = a.rows  # rows without a unit pivot
+    for col in zip(*a.data):
+        if not missing:
+            break
+        c = {i: y for i, y in enumerate(col) if y}
+        while c:
+            i = min(c)
+            y = c[i]
+            b = basis.get(i)
+            if b is None:
+                basis[i] = c if y > 0 else {k: -w for k, w in c.items()}
+                if y in (1, -1):
+                    missing -= 1
+                break
+            x = b[i]
+            if x == 1:
+                for k, z in b.items():
+                    w = c.get(k, 0) - y * z
+                    if w:
+                        c[k] = w
+                    else:
+                        del c[k]
+                continue
+            g, s, t = _xgcd(x, y)
+            x, y = x // g, y // g
+            newB, newC = {}, {}
+            for k in b.keys() | c.keys():
+                z, w = b.get(k, 0), c.get(k, 0)
+                if s * z + t * w:
+                    newB[k] = s * z + t * w
+                if x * w - y * z:
+                    newC[k] = x * w - y * z
+            basis[i], c = newB, newC
+            if g == 1:
+                missing -= 1
+    return not missing
 
 
 def determinant(a):
@@ -312,11 +370,6 @@ class GroupPresentation:
 
     def isZero(self, vec):
         return self.reduce(vec) == self.zero()
-
-    def torsionPart(self, vec):
-        """The same element with free coordinates dropped to zero."""
-        head = vec[:len(self.invariants)]
-        return self.reduce(head + (0,) * self.freeRank)
 
     def freePart(self, vec):
         """Just the free coordinates, as a tuple of length freeRank."""
@@ -412,10 +465,6 @@ class GroupHom:
 
     def __repr__(self):
         return "GroupHom(%r)" % (self.matrix.toLists(),)
-
-
-def identityHom(pres):
-    return GroupHom(pres, pres, IntMatrix.identity(pres.dim))
 
 
 def cokernelPresentation(relations):

@@ -197,6 +197,28 @@ def test_stdin_bad_json_exits_one(capsys, monkeypatch):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv,stdin", [
+    (["foundation", "--matroid", "uniform(20,40)"], None),
+    (["foundation", "--matroid", "-"], {"n": 40, "rank": 20, "nonbases": []}),
+    (["foundation", "--matroid", "-"], {"n": 10 ** 9, "rank": 0, "nonbases": []}),
+    (["foundation", "--matroid", "-"], {"n": 40, "bases": [list(range(20))]}),
+])
+def test_subset_ceiling_exits_two_before_enumerating(capsys, monkeypatch, argv, stdin):
+    """C(40, 20) is about 1.4e11: the guard must refuse it without listing a subset."""
+    import io
+    import itertools
+
+    def refuse(*args):
+        raise AssertionError("r-subsets enumerated past the ceiling")
+
+    monkeypatch.setattr(itertools, "combinations", refuse)
+    if stdin is not None:
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(stdin)))
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "10000" in err
+
+
 def test_jobs_flag_accepted(capsys):
     assert run(["orientable", "--matroid", "fano", "--jobs", "4"]) == 0
     capsys.readouterr()

@@ -7,13 +7,13 @@ from foundry.foundation import (
     AmbientSymbolGroup,
     computeFoundation,
     crossRatio,
-    degreeMap,
     foundationResultToJson,
     innerTutteRelations,
     inversionParity,
     tutteRelations,
 )
 from foundry.matroid import InvalidMatroidError, namedMatroid
+from foundry.zlattice import GroupHom, GroupPresentation, IntMatrix
 
 # Free rank of the foundation for the bigger named matroids (these pins were
 # cross-checked by hand against the relation counts: free rank equals
@@ -106,7 +106,8 @@ def test_cross_ratio_symbol_identities():
 def test_cross_ratio_degree_zero():
     m = namedMatroid("example52")
     ambient = AmbientSymbolGroup(m)
-    deg = degreeMap(ambient)
+    deg = GroupHom(ambient.pres, GroupPresentation([], 1),
+                   IntMatrix([[0] + [1] * len(ambient.matroid.bases)]))
     rels = tutteRelations(ambient, m.bases[0])
     assert deg.apply(rels.column(0)) == (0,)  # 2 eps
     assert deg.apply(rels.column(1)) == (1,)  # the gauge basis symbol

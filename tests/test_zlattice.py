@@ -13,7 +13,6 @@ from foundry.zlattice import (
     cokernelPresentation,
     determinant,
     homFinite,
-    identityHom,
     smithForm,
     smithNormalForm,
     solveModular,
@@ -129,6 +128,39 @@ def test_transform_free_kernel_matches_full_form():
         assert onlyV.V == full.V and onlyV.U is None
         pres, _ = cokernelPresentation(a)
         assert spansLattice(a) == (pres.dim == 0)
+
+
+def test_span_check_matches_smith_definition():
+    """spansLattice against its definition: every invariant factor is 1."""
+    rng = random.Random(20261019)
+    spanning = 0
+    for case in range(3000):
+        rows, cols = rng.randint(0, 6), rng.randint(0, 9)
+        bound = rng.choice([1, 2, 5, 10 ** 6])
+        columns = [[rng.randint(-bound, bound) for _ in range(rows)] for _ in range(cols)]
+        if case % 3 == 0 and rows:
+            # a unimodular basis, so that spanning cases are common, mixed with
+            # scaled copies of itself and of the random columns
+            basis = [[int(i == j) for i in range(rows)] for j in range(rows)]
+            for _ in range(2 * rows):
+                j, k = rng.sample(range(rows), 2) if rows > 1 else (0, 0)
+                if j != k:
+                    f = rng.randint(-3, 3)
+                    basis[j] = [x + f * y for x, y in zip(basis[j], basis[k])]
+            if rng.random() < 0.3:
+                basis[rng.randrange(rows)] = [2 * x for x in basis[0]]
+            columns += basis
+        for _ in range(rng.randint(0, 3)):
+            if columns:
+                col = rng.choice(columns)
+                columns.append([rng.choice([-3, -1, 2, 7]) * x for x in col])
+        rng.shuffle(columns)
+        a = IntMatrix.fromColumns(columns, dim=rows)
+        diag = smithForm(a).diagonal()
+        expected = len(diag) == a.rows and all(x == 1 for x in diag)
+        assert spansLattice(a) == expected, a
+        spanning += expected
+    assert 500 < spanning < 2500
 
 
 def referenceSolve(a, b, n):
@@ -255,7 +287,7 @@ def test_surjectivity_checks():
     z = GroupPresentation([], 1)
     double = GroupHom(z, z, IntMatrix([[2]]))
     assert not double.isSurjective()
-    assert identityHom(z).isSurjective()
+    assert GroupHom(z, z, IntMatrix.identity(z.dim)).isSurjective()
     z2 = GroupPresentation([2], 0)
     onto = GroupHom(z, z2, IntMatrix([[1]]))
     assert onto.isSurjective()
@@ -273,7 +305,7 @@ def test_presentation_validation():
     assert p.reduce((3, -1, -7)) == (1, 3, -7)
     assert p.add((1, 3, 2), (1, 2, -2)) == (0, 1, 0)
     assert p.neg((1, 1, 5)) == (1, 3, -5)
-    assert p.torsionPart((1, 2, 9)) == (1, 2, 0)
+    assert p.reduce((1, 2, 9)[:2] + (0,)) == (1, 2, 0)
     assert p.freePart((1, 2, 9)) == (9,)
     fin = GroupPresentation([2, 2], 0)
     assert fin.order() == 4

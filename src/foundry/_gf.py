@@ -8,7 +8,10 @@ coefficients, little-endian.
 
 from __future__ import annotations
 
-from sympy import factorint, primitive_root
+# The largest field order accepted.  A field builds exp and log tables of
+# size q (and its pasture about q/6 hexagons), and factoring q by trial
+# division costs O(sqrt q), so a larger q is refused before either.
+MAX_FIELD_ORDER = 1 << 16
 
 # Conway polynomials (little-endian coefficient lists, monic) for every
 # prime power p^k < 100 with k >= 2.
@@ -27,7 +30,28 @@ _CONWAY = {
 
 
 class FieldError(ValueError):
-    """Raised for non prime powers or prime powers outside the Conway table."""
+    """Raised for non prime powers, prime powers outside the Conway table and
+    orders above MAX_FIELD_ORDER."""
+
+
+def _factor(n):
+    """The prime factorisation {p: k} of n >= 1, by trial division."""
+    factors = {}
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            factors[d] = factors.get(d, 0) + 1
+            n //= d
+        d += 1
+    if n > 1:
+        factors[n] = factors.get(n, 0) + 1
+    return factors
+
+
+def _primitiveRoot(p):
+    """The smallest generator of the units modulo an odd prime p."""
+    cofactors = [(p - 1) // r for r in _factor(p - 1)]
+    return next(g for g in range(2, p) if all(pow(g, c, p) != 1 for c in cofactors))
 
 
 class FiniteField:
@@ -37,15 +61,17 @@ class FiniteField:
 
     def __init__(self, q):
         q = int(q)
+        if q > MAX_FIELD_ORDER:
+            raise FieldError("field order %d is above the ceiling %d" % (q, MAX_FIELD_ORDER))
         if q < 2:
             raise FieldError("field order must be at least 2")
-        factors = factorint(q)
+        factors = _factor(q)
         if len(factors) != 1:
             raise FieldError("%d is not a prime power" % q)
         [(p, k)] = factors.items()
         self.q, self.p, self.k = q, p, k
         if k == 1:
-            self.generator = 1 if q == 2 else int(primitive_root(q))
+            self.generator = 1 if q == 2 else _primitiveRoot(q)
         else:
             if (p, k) not in _CONWAY:
                 raise FieldError(
@@ -128,6 +154,3 @@ class FiniteField:
 
     def units(self):
         return list(self._exp)
-
-    def elements(self):
-        return list(range(self.q))

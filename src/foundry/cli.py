@@ -47,23 +47,27 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError("%s: %s" % (self.prog, message))
 
 
+def _readJson(path=None):
+    """The JSON document in a file, or on stdin when path is None."""
+    try:
+        if path is None:
+            return json.load(sys.stdin)
+        with open(path) as handle:
+            return json.load(handle)
+    except OSError as e:
+        raise _InputError(str(e))
+    except (ValueError, RecursionError) as e:
+        # malformed JSON, bytes that are not UTF-8, an integer past the
+        # interpreter's digit limit, or nesting past its recursion limit
+        raise _InputError("%s: %s" % ("stdin" if path is None else path, e))
+
+
 def loadMatroid(spec):
     """NAME, '-' for JSON on stdin, or a path to a JSON file."""
     if spec == "-":
-        try:
-            doc = json.load(sys.stdin)
-        except json.JSONDecodeError as e:
-            raise _InputError("stdin: %s" % e)
-        return matroidFromJson(doc)
+        return matroidFromJson(_readJson())
     if spec.endswith(".json"):
-        try:
-            with open(spec) as handle:
-                doc = json.load(handle)
-        except OSError as e:
-            raise _InputError(str(e))
-        except json.JSONDecodeError as e:
-            raise _InputError("%s: %s" % (spec, e))
-        return matroidFromJson(doc)
+        return matroidFromJson(_readJson(spec))
     return namedMatroid(spec)
 
 
@@ -76,15 +80,7 @@ def loadPasture(spec):
             raise _InputError("bad field size in %r" % spec)
         return gfPasture(q)
     if spec.startswith("file:"):
-        path = spec[5:]
-        try:
-            with open(path) as handle:
-                doc = json.load(handle)
-        except OSError as e:
-            raise _InputError(str(e))
-        except json.JSONDecodeError as e:
-            raise _InputError("%s: %s" % (path, e))
-        return pastureFromJson(doc)
+        return pastureFromJson(_readJson(spec[5:]))
     return builtinPasture(spec)
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 
 from .matroid import InvalidMatroidError
-from .pasture import Pasture, hexagonClosure
+from .pasture import Pasture
 from .zlattice import GroupHom, GroupPresentation, IntMatrix, cokernelPresentation
 
 

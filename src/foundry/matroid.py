@@ -269,15 +269,31 @@ def matroidToJson(m):
     return doc
 
 
+def _jsonInt(doc, key):
+    """doc[key], which must be an integer (not a bool or a float)."""
+    if type(doc[key]) is not int:
+        raise InvalidMatroidError("'%s' must be an integer" % key)
+    return doc[key]
+
+
+def _jsonSubsets(doc, key):
+    """doc[key], which must be a list of lists of integers."""
+    subsets = doc[key]
+    if not (isinstance(subsets, list) and all(
+            isinstance(s, list) and all(type(e) is int for e in s) for s in subsets)):
+        raise InvalidMatroidError("'%s' must be a list of lists of integers" % key)
+    return subsets
+
+
 def matroidFromJson(doc):
     if not isinstance(doc, dict) or "n" not in doc:
         raise InvalidMatroidError("matroid document needs an 'n' field")
-    n = doc["n"]
+    n = _jsonInt(doc, "n")
     if "bases" in doc:
-        m = Matroid.fromBases(n, doc["bases"])
-        if "rank" in doc and int(doc["rank"]) != m.rank:
+        m = Matroid.fromBases(n, _jsonSubsets(doc, "bases"))
+        if "rank" in doc and _jsonInt(doc, "rank") != m.rank:
             raise InvalidMatroidError("stated rank disagrees with the bases")
         return m
     if "nonbases" in doc and "rank" in doc:
-        return Matroid.fromNonbases(n, doc["rank"], doc["nonbases"])
+        return Matroid.fromNonbases(n, _jsonInt(doc, "rank"), _jsonSubsets(doc, "nonbases"))
     raise InvalidMatroidError("matroid document needs 'bases' or 'rank'+'nonbases'")

@@ -70,12 +70,18 @@ class Hexagon:
         return "Hexagon(%r)" % (self.pairs,)
 
 
+# The closure triple of the k-th oriented pair, as indices into the six
+# oriented pairs of a closure triple listed pair before swap: with
+# 2*epsilon = 0, closing any of them gives back three of the same six.
+_HEAD_TRIPLES = ((0, 2, 4), (1, 4, 2), (2, 0, 5), (3, 5, 0), (4, 1, 3), (5, 3, 1))
+
+
 def hexagonClosure(group, epsilon, x, y):
     """The hexagon through the fundamental pair (x, y), canonically oriented."""
     triple = closureTriple(group, epsilon, x, y)
     candidates = [p for pair in triple for p in (pair, (pair[1], pair[0]))]
-    head = min(candidates)
-    return Hexagon(closureTriple(group, epsilon, head[0], head[1]))
+    head = min(range(6), key=candidates.__getitem__)
+    return Hexagon(tuple(candidates[i] for i in _HEAD_TRIPLES[head]))
 
 
 def hexagonType(hexagon):
@@ -142,16 +148,6 @@ class Pasture:
         shift = self.group.add(self.epsilon, self.group.neg(c))
         pair = (self.group.add(a, shift), self.group.add(b, shift))
         return pair in self._pairSet
-
-    def summary(self):
-        types = self.hexagonTypes()
-        return {
-            "invariants": list(self.group.invariants),
-            "freeRank": self.group.freeRank,
-            "epsilon": list(self.epsilon),
-            "hexagonCount": len(self.hexagons),
-            "hexagonTypes": list(types),
-        }
 
     def __eq__(self, other):
         return (
@@ -237,13 +233,23 @@ def pastureToJson(p):
     }
 
 
+def _jsonInts(values, key):
+    """values as a tuple, which must hold only integers (not bools or floats)."""
+    values = tuple(values)
+    if not all(type(v) is int for v in values):
+        raise TypeError("'%s' must hold only integers" % key)
+    return values
+
+
 def pastureFromJson(doc, name=None):
     if not isinstance(doc, dict):
         raise InvalidPastureError("pasture document must be an object")
     try:
-        group = GroupPresentation(doc.get("invariants", []), doc.get("freeRank", 0))
-        epsilon = tuple(doc["epsilon"])
-        heads = [(tuple(x), tuple(y)) for x, y in doc.get("hexagons", [])]
+        (freeRank,) = _jsonInts([doc.get("freeRank", 0)], "freeRank")
+        group = GroupPresentation(_jsonInts(doc.get("invariants", []), "invariants"), freeRank)
+        epsilon = _jsonInts(doc["epsilon"], "epsilon")
+        heads = [(_jsonInts(x, "hexagons"), _jsonInts(y, "hexagons"))
+                 for x, y in doc.get("hexagons", [])]
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidPastureError("malformed pasture document: %s" % exc) from exc
     if len(epsilon) != group.dim:

@@ -40,10 +40,6 @@ class IntMatrix:
         return cls(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)), cols=n)
 
     @classmethod
-    def zeros(cls, rows, cols):
-        return cls(tuple((0,) * cols for _ in range(rows)), cols=cols)
-
-    @classmethod
     def fromColumns(cls, columns, dim=None):
         """Build a matrix whose j-th column is columns[j] (each of length dim)."""
         columns = [tuple(c) for c in columns]

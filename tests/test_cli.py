@@ -222,3 +222,60 @@ def test_subset_ceiling_exits_two_before_enumerating(capsys, monkeypatch, argv, 
 def test_jobs_flag_accepted(capsys):
     assert run(["orientable", "--matroid", "fano", "--jobs", "4"]) == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["representations", "--matroid", "fano", "--field", "1000000000039"],
+    ["morphisms", "--matroid", "fano", "--target", "gf:1000000000039"],
+])
+def test_field_over_the_ceiling_exits_two(capsys, argv):
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert "ceiling" in captured.err
+
+
+@pytest.mark.parametrize("doc", [
+    {"n": "abc", "rank": 2, "nonbases": []},
+    {"n": 4, "bases": 5},
+    {"n": 4.7, "rank": 2, "nonbases": []},
+    {"n": 4, "rank": 2, "nonbases": [[0, 1.5]]},
+])
+def test_matroid_document_with_a_value_that_is_not_an_integer_exits_two(
+        capsys, monkeypatch, doc):
+    import io
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+    assert run(["foundation", "--matroid", "-"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("doc", [
+    {"invariants": [2], "freeRank": 0, "epsilon": ["a"], "hexagons": []},
+    {"invariants": [2.5], "freeRank": 0, "epsilon": [1], "hexagons": [[[1], [1]]]},
+])
+def test_pasture_document_with_a_value_that_is_not_an_integer_exits_two(
+        capsys, tmp_path, doc):
+    path = tmp_path / "pasture.json"
+    path.write_text(json.dumps(doc))
+    assert run(["iso", "--source", "file:%s" % path, "--target", "F3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("data", [
+    b'{"n": ' + b"9" * 5000 + b', "rank": 1, "nonbases": []}',  # over the digit limit
+    b"[" * 100000 + b"]" * 100000,  # over the recursion limit
+    b'\xff\xfe{"n": 3}',  # not UTF-8
+])
+def test_unreadable_json_exits_one(capsys, tmp_path, data):
+    path = tmp_path / "doc.json"
+    path.write_bytes(data)
+    for argv in (["foundation", "--matroid", str(path)],
+                 ["iso", "--source", "file:%s" % path, "--target", "F3"]):
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("input error:") and captured.err.count("\n") == 1

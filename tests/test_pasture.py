@@ -1,12 +1,18 @@
 import random
 
 import pytest
+from sympy import factorint, primitive_root
 
-from foundry._gf import FieldError, FiniteField
+from foundry import _gf
+from foundry._gf import MAX_FIELD_ORDER, FieldError, FiniteField
+from foundry.foundation import computeFoundation
+from foundry.matroid import _NAMED_NONBASES, namedMatroid
 from foundry.pasture import (
+    Hexagon,
     InvalidPastureError,
     Pasture,
     builtinPasture,
+    closureTriple,
     gfPasture,
     hexagonClosure,
     hexagonType,
@@ -77,6 +83,46 @@ def test_field_errors():
     FiniteField(101)  # large primes are fine
 
 
+def test_field_ceiling_is_checked_before_any_factoring(monkeypatch):
+    def refuse(n):
+        raise AssertionError("factored an order above the ceiling")
+
+    monkeypatch.setattr(_gf, "_factor", refuse)
+    for q in (MAX_FIELD_ORDER + 1, 1000000000039, 10 ** 100):
+        with pytest.raises(FieldError, match="ceiling"):
+            FiniteField(q)
+
+
+def test_largest_prime_under_the_ceiling_is_accepted():
+    f = FiniteField(65521)
+    assert f.generator == primitive_root(65521)
+    assert len(f.units()) == 65520
+
+
+def test_factoring_and_primitive_roots_match_sympy():
+    """Every order up to the ceiling: the trial-division factorisation is
+    sympy's, and each odd prime gets sympy's smallest primitive root."""
+    for q in range(1, MAX_FIELD_ORDER + 1):
+        factors = _gf._factor(q)
+        assert factors == factorint(q), q
+        if q > 2 and factors == {q: 1}:
+            assert _gf._primitiveRoot(q) == primitive_root(q), q
+
+
+def test_prime_fields_use_the_smallest_primitive_root():
+    for q in range(2, 100):
+        factors = factorint(q)
+        if len(factors) != 1:
+            continue
+        [(p, k)] = factors.items()
+        f = FiniteField(q)
+        if k == 1:
+            assert f.generator == (1 if q == 2 else primitive_root(q))
+            assert f.units() == [pow(f.generator, i, q) for i in range(q - 1)]
+        else:
+            assert f.generator == p
+
+
 @pytest.mark.parametrize("q", SMALL_PRIME_POWERS)
 def test_gf_pasture_census_matches_field_orbits(q):
     p = gfPasture(q)
@@ -111,6 +157,31 @@ def test_hexagon_canonical_under_reorientation():
             for pair in h.orientedPairs():
                 rebuilt = hexagonClosure(p.group, p.epsilon, pair[0], pair[1])
                 assert rebuilt == h
+
+
+def test_hexagon_closure_matches_the_two_closure_definition():
+    """The head's triple read off the six oriented pairs equals closing the
+    head a second time, on every oriented pair of catalogue foundations and
+    their duals, the builtins and the fields below 100."""
+    pastures = [builtinPasture(name) for name in ("f1pm", "krasner", "sign", "U", "D",
+                                                  "H", "F3", "P0")]
+    for name in sorted(_NAMED_NONBASES):
+        m = namedMatroid(name)
+        pastures += [computeFoundation(m).foundation, computeFoundation(m.dual()).foundation]
+    for q in range(2, 100):
+        try:
+            pastures.append(gfPasture(q))
+        except InvalidPastureError:
+            pass
+    checked = 0
+    for p in pastures:
+        for x, y in p.fundamentalPairs():
+            triple = closureTriple(p.group, p.epsilon, x, y)
+            head = min(c for pair in triple for c in (pair, pair[::-1]))
+            expected = Hexagon(closureTriple(p.group, p.epsilon, *head))
+            assert hexagonClosure(p.group, p.epsilon, x, y) == expected, (p, x, y)
+            checked += 1
+    assert checked > 2000
 
 
 def test_partner_symmetry_and_pairs():
@@ -198,3 +269,18 @@ def test_json_round_trip():
         pastureFromJson({"invariants": [2], "freeRank": 0, "epsilon": [1, 0]})
     with pytest.raises(InvalidPastureError):
         pastureFromJson({"freeRank": 1})
+
+
+@pytest.mark.parametrize("doc", [
+    {"invariants": [2], "epsilon": ["a"]},
+    {"invariants": [2.5], "epsilon": [1]},
+    {"invariants": [True], "epsilon": [1]},
+    {"invariants": [2], "freeRank": 1.0, "epsilon": [1, 0]},
+    {"invariants": [2], "freeRank": False, "epsilon": [1]},
+    {"invariants": [2], "epsilon": [1.0]},
+    {"invariants": [2], "epsilon": [1], "hexagons": [[[1], [0.5]]]},
+    {"invariants": [2], "epsilon": [1], "hexagons": [[[1], "1"]]},
+])
+def test_json_refuses_values_that_are_not_integers(doc):
+    with pytest.raises(InvalidPastureError):
+        pastureFromJson(doc)

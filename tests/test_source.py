@@ -1,6 +1,10 @@
 """Checks on the package source itself."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import foundry
@@ -8,11 +12,45 @@ import foundry
 PACKAGE = Path(foundry.__file__).resolve().parent
 
 
+def parsedModules():
+    for path in sorted(PACKAGE.rglob("*.py")):
+        yield path, ast.parse(path.read_text(), filename=str(path))
+
+
 def test_no_assert_statements_in_the_package():
     """Invariant checks raise explicitly, so they survive python -O."""
     found = []
-    for path in sorted(PACKAGE.rglob("*.py")):
-        tree = ast.parse(path.read_text(), filename=str(path))
+    for path, tree in parsedModules():
         found += ["%s:%d" % (path.name, node.lineno)
                   for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_package_imports_only_the_standard_library():
+    """foundry has no runtime dependencies: every absolute import names a
+    standard library module."""
+    found = []
+    for path, tree in parsedModules():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += ["%s:%d %s" % (path.name, node.lineno, name) for name in names
+                      if name.split(".")[0] not in sys.stdlib_module_names]
+    assert found == []
+
+
+def test_cli_import_loads_nothing_outside_the_standard_library():
+    """Checked in a fresh interpreter, against the modules it had loaded
+    before importing foundry.cli."""
+    script = ("import json, sys; before = set(sys.modules); import foundry.cli; "
+              "print(json.dumps(sorted(set(sys.modules) - before)))")
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         capture_output=True, text=True, timeout=60).stdout
+    loaded = {name.split(".")[0] for name in json.loads(out)}
+    assert "foundry" in loaded
+    assert sorted(loaded - set(sys.stdlib_module_names) - {"foundry"}) == []

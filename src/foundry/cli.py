@@ -23,6 +23,7 @@ from .morphism import (
 )
 from .pasture import InvalidPastureError, builtinPasture, gfPasture, pastureFromJson
 from .representation import (
+    isOrientable,
     matroidOfMatrix,
     nonRepresentabilityCertificate,
     representationsOverField,
@@ -184,8 +185,7 @@ def cmdMorphisms(args):
 
 def cmdRepresentations(args):
     m = loadMatroid(args.matroid)
-    fr = computeFoundation(m, parseBasis(args.basis))
-    reps = representationsOverField(m, args.field, foundationResult=fr)
+    reps = representationsOverField(m, args.field, parseBasis(args.basis))
     for rep in reps:
         if sorted(matroidOfMatrix(rep.matrix, rep.field).bases) != sorted(m.bases):
             print("error: a computed matrix over GF(%d) does not represent %s"
@@ -207,9 +207,7 @@ def cmdRepresentations(args):
 
 def cmdOrientable(args):
     m = loadMatroid(args.matroid)
-    fr = computeFoundation(m, parseBasis(args.basis))
-    ms = searchMorphisms(fr.foundation, builtinPasture("sign"), findOne=True)
-    answer = bool(ms)
+    answer = isOrientable(m, parseBasis(args.basis))
     emit(args, {"matroid": m.name or "unnamed", "orientable": answer},
          "orientable: %s" % ("yes" if answer else "no"))
     return 0

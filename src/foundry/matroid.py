@@ -110,9 +110,6 @@ class Matroid:
                             "exchange axiom fails for %r, %r at %r" % (b1, b2, a)
                         )
 
-    def isBasis(self, subset):
-        return tuple(sorted(subset)) in self.basesSet
-
     def nonbases(self):
         return tuple(
             s for s in itertools.combinations(range(self.n), self.rank)

@@ -88,6 +88,14 @@ def isMorphism(f):
     return True
 
 
+def _sameShape(p1, p2):
+    """Whether the two pastures share invariant factors, free rank and
+    fundamental-pair count, as isomorphic pastures must."""
+    return (p1.group.invariants == p2.group.invariants
+            and p1.group.freeRank == p2.group.freeRank
+            and len(p1.pairSet()) == len(p2.pairSet()))
+
+
 def isIsomorphism(f):
     """Group-bijective morphism with equal fundamental-pair counts.
 
@@ -95,13 +103,7 @@ def isIsomorphism(f):
     invariant factors and free rank; equal pair counts then force the
     inverse map to carry fundamental pairs back to fundamental pairs.
     """
-    if f.source.group.invariants != f.target.group.invariants:
-        return False
-    if f.source.group.freeRank != f.target.group.freeRank:
-        return False
-    if len(f.source.pairSet()) != len(f.target.pairSet()):
-        return False
-    return isMorphism(f) and f.hom.isSurjective()
+    return _sameShape(f.source, f.target) and isMorphism(f) and f.hom.isSurjective()
 
 
 class _Row:
@@ -232,12 +234,13 @@ class SublatticeData:
     the primitive dependency data of pairs that became doubly dependent.
     counts: how many pairs of each kind produced rules or list entries.
     freeMatrix: A_F, whose columns are the generators' free parts.  Its
-    cokernel, its factorisation per modulus and the search's slot program
-    are built on first use and kept for the life of the source pasture.
+    factorisation per modulus, the lift offsets per target torsion and the
+    search's slot program are built on first use and kept for the life of
+    the source pasture.
     """
 
     __slots__ = ("generators", "rules", "typeFourLists", "counts", "freeMatrix",
-                 "_quotient", "_solvers", "_program")
+                 "_offsets", "_solvers", "_program")
 
     def __init__(self, generators, rules, typeFourLists, counts, freeMatrix):
         self.generators = generators
@@ -245,18 +248,24 @@ class SublatticeData:
         self.typeFourLists = typeFourLists
         self.counts = counts
         self.freeMatrix = freeMatrix
-        self._quotient = None
+        self._offsets = {}
         self._solvers = {}
         self._program = None
 
-    def quotient(self):
-        """(coker(A_F), projection); finite because A_F has full rank."""
-        if self._quotient is None:
+    def offsets(self, invariants):
+        """How two lifts of the same generator images into the torsion
+        Z/invariants may differ: the rows of h @ proj for every h in
+        Hom(coker(A_F), Z/invariants), in homFinite order, where proj is the
+        projection onto coker(A_F), finite because A_F has full rank."""
+        offsets = self._offsets.get(invariants)
+        if offsets is None:
             pres, proj = cokernelPresentation(self.freeMatrix)
             if pres.freeRank:
                 raise ValueError("sublattice free parts must have full rank")
-            self._quotient = (pres, proj)
-        return self._quotient
+            offsets = self._offsets[invariants] = tuple(
+                (h.matrix @ proj.matrix).data
+                for h in homFinite(pres, GroupPresentation(invariants, 0)))
+        return offsets
 
     def solver(self, n):
         """The system x @ A_F == B modulo n (n == 0: over Z), factored once."""
@@ -524,14 +533,10 @@ def sublatticeOf(pasture):
     return pasture._sublattice
 
 
-def _torsionPresentation(group):
-    return GroupPresentation(group.invariants, 0)
-
-
 def torsionHoms(p1, p2, isoOnly=False):
     """Torsion-block candidates: homs of the torsion parts fixing epsilon."""
-    t1 = _torsionPresentation(p1.group)
-    t2 = _torsionPresentation(p2.group)
+    t1 = GroupPresentation(p1.group.invariants, 0)
+    t2 = GroupPresentation(p2.group.invariants, 0)
     eps1 = p1.epsilon[:t1.dim]
     eps2 = p2.epsilon[:t2.dim]
     out = []
@@ -582,53 +587,39 @@ def _freeRankIncreases(echelon, vec):
     return echelon + [(pivot, tuple(work))]
 
 
-def assemble(p1, p2, sub, psi, images, stats=None):
-    """All block matrices matching the sublattice images, per the lift family.
+def assemble(p1, p2, sub, psiRows, psiImages, images, stats):
+    """Every hom of the unit groups that extends the torsion block psi and
+    sends the sublattice generators to images, in lift order.
 
-    The free block is the unique rational solution of C_F * A_F = B_F, kept
-    only when integral; each torsion row is solved modulo its invariant; the
-    solution set is one particular lift translated by Hom(coker(A_F), T_2).
-    A_F depends only on the sublattice, so its cokernel and its
-    factorisations come from sub and each leaf pays only the solves.
+    psiRows are psi's matrix rows and psiImages psi's images of the
+    generators' torsion parts.  The free block is the unique rational
+    solution of C_F * A_F = B_F, kept only when integral.  Each torsion row
+    is one particular solution modulo its invariant, translated by each of
+    sub.offsets(invariants) in turn.  A_F depends only on the sublattice and
+    the offsets only on it and the target torsion, so a leaf pays only for
+    its solves and its matrices, which are canonical as built.
     """
     g1, g2 = p1.group, p2.group
-    r = len(sub.generators)
-    n1, n2 = len(g1.invariants), len(g2.invariants)
-    bF = IntMatrix.fromColumns([g2.freePart(y) for y in images], dim=g2.freeRank)
+    invariants = g2.invariants
+    n1, n2 = len(g1.invariants), len(invariants)
     freeRows = []
-    for i in range(g2.freeRank):
-        x = sub.solver(0).solve(bF.row(i))
+    for i in range(n2, g2.dim):
+        x = sub.solver(0).solve([y[i] for y in images])
         if x is None:
             return []
-        freeRows.append(x)
-    psiImages = [psi.apply(x[:n1]) for x in sub.generators]
+        freeRows.append((0,) * n1 + x)
     particular = []
-    for i, b in enumerate(g2.invariants):
-        rhs = [y[i] - m[i] for y, m in zip(images, psiImages)]
-        x = sub.solver(b).solve(rhs)
+    for i, b in enumerate(invariants):
+        x = sub.solver(b).solve([y[i] - m[i] for y, m in zip(images, psiImages)])
         if x is None:
             return []
         particular.append(x)
-    qPres, qProj = sub.quotient()
-    t2 = _torsionPresentation(g2)
     out = []
-    seen = set()
-    for h in homFinite(qPres, t2):
-        off = (h.matrix @ qProj.matrix).data
-        rowsOut = []
-        for i in range(n2):
-            extra = tuple((particular[i][j] + off[i][j]) % g2.invariants[i]
-                          for j in range(r))
-            rowsOut.append(tuple(psi.matrix.row(i)) + extra)
-        for i in range(g2.freeRank):
-            rowsOut.append((0,) * n1 + tuple(freeRows[i]))
-        mat = IntMatrix(rowsOut, cols=g1.dim)
-        if mat.data in seen:
-            continue
-        seen.add(mat.data)
-        if stats is not None:
-            stats.assembled += 1
-        out.append(GroupHom(g1, g2, mat))
+    for offset in sub.offsets(invariants):
+        rows = [row + tuple([(s + t) % b for s, t in zip(x, off)])
+                for row, x, off, b in zip(psiRows, particular, offset, invariants)]
+        stats.assembled += 1
+        out.append(GroupHom(g1, g2, IntMatrix(rows + freeRows, cols=g1.dim)))
     return out
 
 
@@ -645,7 +636,8 @@ class _Search:
     """
 
     __slots__ = ("p1", "p2", "sub", "findOne", "findIso", "stats", "found", "mods",
-                 "freeStart", "fundamentalElements", "partners", "levels", "images", "psi")
+                 "freeStart", "fundamentalElements", "partners", "levels", "images",
+                 "psiRows", "psiImages")
 
     def __init__(self, p1, p2, sub, findOne, findIso, stats):
         self.p1, self.p2, self.sub = p1, p2, sub
@@ -691,9 +683,10 @@ class _Search:
 
     def run(self, psi):
         """Search below one torsion block; True when findOne has its answer."""
-        self.psi = psi
         self.images = []
         n1 = len(self.p1.group.invariants)
+        self.psiRows = psi.matrix.data
+        self.psiImages = [psi.apply(x[:n1]) for x in self.sub.generators]
         free = (0,) * self.p2.group.freeRank
         mapped = {}
         starts = []
@@ -709,8 +702,8 @@ class _Search:
         """Visit a node: above holds the parent's slot values, parent its image."""
         if level > len(self.levels):
             self.stats.leafCandidates += 1
-            for hom in assemble(self.p1, self.p2, self.sub, self.psi, tuple(self.images),
-                                self.stats):
+            for hom in assemble(self.p1, self.p2, self.sub, self.psiRows, self.psiImages,
+                                self.images, self.stats):
                 if self.emit(hom):
                     return True
             return False
@@ -755,8 +748,8 @@ class _Search:
 
     def emit(self, hom):
         f = PastureMorphism(self.p1, self.p2, hom)
-        ok = isIsomorphism(f) if self.findIso else isMorphism(f)
-        if ok:
+        # searchMorphisms checked the shapes an isomorphism needs
+        if isMorphism(f) and (not self.findIso or f.hom.isSurjective()):
             self.stats.valid += 1
             self.found.append(f)
             return self.findOne
@@ -775,8 +768,8 @@ def searchMorphisms(p1, p2, findOne=False, findIso=False, stats=None):
     tables built once per search (partners, t1 and t2 lookups).  Type-four
     entries are checked in order and stop at the first that fails; each
     costs a multiply-add per coordinate and half and one set lookup.  Every
-    leaf is assembled and every assembled map validated by isMorphism
-    (isIsomorphism under findIso).
+    leaf is assembled and every assembled map validated by isMorphism, and
+    under findIso also checked to be surjective.
 
     findOne stops at the first valid morphism in search order.  findIso
     restricts to isomorphisms: torsion blocks must be bijective, candidate
@@ -786,19 +779,14 @@ def searchMorphisms(p1, p2, findOne=False, findIso=False, stats=None):
     if stats is None:
         stats = SearchStats()
     sub = sublatticeOf(p1)
-    if findIso:
-        if (p1.group.invariants != p2.group.invariants
-                or p1.group.freeRank != p2.group.freeRank
-                or len(p1.pairSet()) != len(p2.pairSet())):
-            return []
+    if findIso and not _sameShape(p1, p2):
+        return []
     psis = torsionHoms(p1, p2, isoOnly=findIso)
     stats.torsionHoms = len(psis)
     search = _Search(p1, p2, sub, findOne, findIso, stats)
     for psi in psis:
         if search.run(psi):
             break
-    unique = {}
-    for f in search.found:
-        unique.setdefault(f.sortKey(), f)
-    ordered = [unique[k] for k in sorted(unique)]
-    return ordered[:1] if findOne else ordered
+    # distinct leaves fix distinct images and distinct offsets give distinct
+    # lifts, so no map is found twice; findOne stops at its first
+    return sorted(search.found, key=PastureMorphism.sortKey)

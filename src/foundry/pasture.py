@@ -113,9 +113,6 @@ class Pasture:
         self._pairSet = frozenset(p for h in self.hexagons for p in h.orientedPairs())
         self._sublattice = None  # write-once cache used by the morphism search
 
-    def one(self):
-        return self.group.zero()
-
     def fundamentalPairs(self):
         """All oriented fundamental pairs in deterministic scan order."""
         return tuple(dict.fromkeys(p for h in self.hexagons for p in h.orientedPairs()))

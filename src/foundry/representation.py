@@ -31,10 +31,6 @@ class GPFunction:
         self.target = target
         self.values = dict(values)
 
-    def value(self, subset):
-        """The group element at a sorted r-subset, or None on nonbases."""
-        return self.values.get(tuple(subset))
-
 
 class FieldRepresentation:
     """A matrix over a finite field together with the morphism it came from."""
@@ -173,10 +169,11 @@ def representationsOverField(matroid, q, basis=None, foundationResult=None):
     """All inequivalent representations of the matroid over GF(q).
 
     One representation per foundation morphism, in the canonical morphism
-    order.  Distinct morphisms produce distinct reduced matrices.
+    order.  Distinct morphisms produce distinct reduced matrices.  The field
+    is built first, so a refused q costs no foundation.
     """
-    fr = foundationResult if foundationResult is not None else computeFoundation(matroid, basis)
     target = gfPasture(q)
+    fr = foundationResult if foundationResult is not None else computeFoundation(matroid, basis)
     out = []
     for f in searchMorphisms(fr.foundation, target):
         out.append(FieldRepresentation(f, gpToMatrix(fr, f), target.field))

@@ -10,7 +10,7 @@ homomorphisms between finite abelian groups.
 from __future__ import annotations
 
 import itertools
-from math import gcd, prod
+from math import gcd
 from operator import mod, mul
 
 
@@ -372,9 +372,6 @@ class GroupPresentation:
         vec = tuple(vec)
         return vec[len(self.invariants):]
 
-    def order(self):
-        return prod(self.invariants) if self.freeRank == 0 else None
-
     def allElements(self):
         """All elements in lexicographic coordinate order (finite groups only)."""
         if self.freeRank:
@@ -432,10 +429,12 @@ class GroupHom:
         return True
 
     def canonicalMatrix(self):
-        """The matrix with every column reduced to canonical target coordinates."""
-        cols = [self.apply((0,) * j + (1,) + (0,) * (self.source.dim - j - 1))
-                for j in range(self.source.dim)]
-        return IntMatrix.fromColumns(cols, dim=self.target.dim)
+        """The matrix with every column reduced to canonical target
+        coordinates: torsion rows mod their invariant, free rows as they are."""
+        invariants = self.target.invariants
+        data = self.matrix.data
+        rows = [tuple([x % a for x in row]) for row, a in zip(data, invariants)]
+        return IntMatrix(rows + list(data[len(invariants):]), cols=self.matrix.cols)
 
     def compose(self, inner):
         """self after inner (source of self must be target of inner)."""

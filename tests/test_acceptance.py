@@ -106,7 +106,7 @@ def test_criterion_04_one_fundamental_kill(capsys):
     with criterion(capsys, 4, budget=60):
         for name in ("vamos", "nonpappus"):
             f = foundationPasture(name)
-            assert f.one() in set(f.fundamentalElements())
+            assert f.group.zero() in set(f.fundamentalElements())
             for q in (2, 3, 4, 5, 7, 8, 9):
                 stats = SearchStats()
                 assert searchMorphisms(f, gfPasture(q), stats=stats) == []
@@ -137,7 +137,7 @@ def test_criterion_07_diamond_obstruction(capsys):
             assert searchMorphisms(p0, gfPasture(q)) == [], q
         withOne = []
         for p in fixturePastures():
-            if p.one() in set(p.fundamentalElements()):
+            if p.group.zero() in set(p.fundamentalElements()):
                 withOne.append(p)
                 assert searchMorphisms(p0, p, findOne=True), p.name
         assert len(withOne) == 4  # sign, krasner, and two foundations

@@ -236,6 +236,27 @@ def test_field_over_the_ceiling_exits_two(capsys, argv):
     assert "ceiling" in captured.err
 
 
+@pytest.mark.parametrize("field", ["6", "70000"])
+def test_refused_field_exits_before_the_foundation(capsys, monkeypatch, field):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the foundation was computed for a refused field")
+    monkeypatch.setattr("foundry.cli.computeFoundation", unreachable)
+    monkeypatch.setattr("foundry.representation.computeFoundation", unreachable)
+    assert run(["representations", "--matroid", "uniform(4,9)", "--field", field]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+
+def test_refused_field_is_reported_before_a_bad_basis(capsys):
+    # (0, 1, 2) is a line of the Fano plane, so not a basis
+    argv = ["representations", "--matroid", "fano", "--basis", "0,1,2"]
+    assert run(argv + ["--field", "6"]) == 2
+    assert capsys.readouterr().err == "error: 6 is not a prime power\n"
+    assert run(argv + ["--field", "5"]) == 2
+    assert capsys.readouterr().err == "error: (0, 1, 2) is not a basis\n"
+
+
 @pytest.mark.parametrize("doc", [
     {"n": "abc", "rank": 2, "nonbases": []},
     {"n": 4, "bases": 5},

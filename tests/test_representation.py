@@ -140,7 +140,7 @@ def matrixReadOffGP(fr, f):
             if j in fr.basis:
                 row.append(int(j == a))
                 continue
-            v = gp.value(sorted(set(fr.basis) - {a} | {j}))
+            v = gp.values.get(tuple(sorted(set(fr.basis) - {a} | {j})))
             if v is None:
                 row.append(0)
             else:  # GF(2) has the trivial unit group, whose element is ()

@@ -17,6 +17,7 @@ from pathlib import Path
 
 import pytest
 
+import foundry.morphism
 from foundry.foundation import computeFoundation
 from foundry.matroid import namedMatroid
 from foundry.morphism import SearchStats, searchMorphisms
@@ -39,9 +40,22 @@ def sourceOf(name):
 
 
 @pytest.mark.parametrize("source", sorted({case.split(">")[0] for case in FROZEN}))
-def test_search_matches_frozen_record(source):
+def test_search_matches_frozen_record(source, monkeypatch):
+    """Also checks, on every case, that every lift a leaf assembles is
+    canonical as built and that no morphism is returned twice, since the
+    search keeps no duplicate filter."""
+    assembled = []
+    original = foundry.morphism.assemble
+
+    def recordingAssemble(*args):
+        homs = original(*args)
+        assembled.extend(homs)
+        return homs
+
+    monkeypatch.setattr(foundry.morphism, "assemble", recordingAssemble)
     for case in sorted(c for c in FROZEN if c.split(">")[0] == source):
         _, target, flags = case.split(">")
+        assembled.clear()
         stats = SearchStats()
         found = searchMorphisms(sourceOf(source), pasture(target), findOne=flags[0] == "1",
                                 findIso=flags[1] == "1", stats=stats)
@@ -51,3 +65,5 @@ def test_search_matches_frozen_record(source):
         got = [d["torsionHoms"], d["leafCandidates"], d["assembled"], d["valid"],
                len(keys), digest]
         assert got == FROZEN[case], case
+        assert all(h.matrix == h.canonicalMatrix() for h in assembled), case
+        assert len(set(keys)) == len(keys), case

@@ -1,6 +1,7 @@
 """Checks on the package source itself."""
 
 import ast
+import importlib
 import json
 import os
 import subprocess
@@ -10,6 +11,7 @@ from pathlib import Path
 import foundry
 
 PACKAGE = Path(foundry.__file__).resolve().parent
+TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 
 
 def parsedModules():
@@ -54,3 +56,44 @@ def test_cli_import_loads_nothing_outside_the_standard_library():
     loaded = {name.split(".")[0] for name in json.loads(out)}
     assert "foundry" in loaded
     assert sorted(loaded - set(sys.stdlib_module_names) - {"foundry"}) == []
+
+
+def tracedNames():
+    """{table: [(owner, attribute), ...]} for the SPANNED and COUNTED tables
+    of bench/tracing.py, read from its source without importing it."""
+    tables = {}
+    for node in ast.parse(TRACING.read_text(), filename=str(TRACING)).body:
+        if isinstance(node, ast.Assign) and len(node.targets) == 1:
+            name = getattr(node.targets[0], "id", None)
+            if name in ("SPANNED", "COUNTED"):
+                tables[name] = [(ast.unparse(owner), ast.literal_eval(attr))
+                                for _, owner, attr in (entry.elts for entry in node.value.elts)]
+    return tables
+
+
+def resolve(dotted):
+    """The object a dotted name such as foundry.matroid.Matroid refers to,
+    importing the modules along the way."""
+    parts = dotted.split(".")
+    obj = importlib.import_module(parts[0])
+    for k, part in enumerate(parts[1:], 2):
+        if not hasattr(obj, part):
+            importlib.import_module(".".join(parts[:k]))
+        obj = getattr(obj, part)
+    return obj
+
+
+def test_traced_names_resolve_in_the_package():
+    """Every function the per-layer benchmark trace wraps still exists, so
+    renaming or deleting one fails here instead of in a traced run."""
+    tables = tracedNames()
+    assert sorted(tables) == ["COUNTED", "SPANNED"] and all(tables.values())
+    missing = []
+    for owner, attr in tables["SPANNED"] + tables["COUNTED"]:
+        try:
+            found = hasattr(resolve(owner), attr)
+        except (ImportError, AttributeError):
+            found = False
+        if not found:
+            missing.append("%s.%s" % (owner, attr))
+    assert missing == []

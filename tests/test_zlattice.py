@@ -1,5 +1,6 @@
 import itertools
 import random
+from math import prod
 
 import pytest
 from sympy import Matrix
@@ -251,23 +252,49 @@ def bruteHomCount(source, target):
     return count
 
 
+FINITE_GROUPS = [
+    GroupPresentation([], 0),
+    GroupPresentation([2], 0),
+    GroupPresentation([3], 0),
+    GroupPresentation([4], 0),
+    GroupPresentation([6], 0),
+    GroupPresentation([2, 4], 0),
+    GroupPresentation([2, 2], 0),
+]
+
+
 def test_hom_finite_matches_brute_force():
-    groups = [
-        GroupPresentation([], 0),
-        GroupPresentation([2], 0),
-        GroupPresentation([3], 0),
-        GroupPresentation([4], 0),
-        GroupPresentation([6], 0),
-        GroupPresentation([2, 4], 0),
-        GroupPresentation([2, 2], 0),
-    ]
-    for src in groups:
-        for dst in groups:
+    for src in FINITE_GROUPS:
+        for dst in FINITE_GROUPS:
             homs = homFinite(src, dst)
             assert len(homs) == bruteHomCount(src, dst)
             assert len({h.canonicalMatrix() for h in homs}) == len(homs)
             for h in homs:
                 assert h.isWellDefined()
+
+
+def unitVectorCanonicalMatrix(h):
+    """Oracle: the matrix whose j-th column is the hom applied to e_j."""
+    dim = h.source.dim
+    cols = [h.apply(tuple(int(i == j) for i in range(dim))) for j in range(dim)]
+    return IntMatrix.fromColumns(cols, dim=h.target.dim)
+
+
+def test_canonical_matrix_matches_unit_vector_definition():
+    for src in FINITE_GROUPS:
+        for dst in FINITE_GROUPS:
+            for h in homFinite(src, dst):
+                assert h.canonicalMatrix() == unitVectorCanonicalMatrix(h)
+    groups = [GroupPresentation(invariants, free)
+              for invariants in ([], [2], [6], [2, 4], [3, 9]) for free in (0, 1, 2)]
+    rng = random.Random(77)
+    for _ in range(2000):
+        src, dst = rng.choice(groups), rng.choice(groups)
+        # negative and out-of-range entries in torsion and free rows alike
+        mat = IntMatrix([[rng.randint(-40, 40) for _ in range(src.dim)]
+                         for _ in range(dst.dim)], cols=src.dim)
+        h = GroupHom(src, dst, mat)
+        assert h.canonicalMatrix() == unitVectorCanonicalMatrix(h)
 
 
 def test_hom_apply_and_compose():
@@ -308,5 +335,5 @@ def test_presentation_validation():
     assert p.reduce((1, 2, 9)[:2] + (0,)) == (1, 2, 0)
     assert p.freePart((1, 2, 9)) == (9,)
     fin = GroupPresentation([2, 2], 0)
-    assert fin.order() == 4
+    assert prod(fin.invariants) == 4
     assert len(fin.allElements()) == 4

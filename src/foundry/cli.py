@@ -162,16 +162,16 @@ def cmdMorphisms(args):
     target = loadPasture(args.target)
     stats = SearchStats()
     ms = searchMorphisms(fr.foundation, target, stats=stats)
-    payload = {
-        "source": "foundation(%s)" % (m.name or "unnamed"),
-        "target": target.name,
-        "count": len(ms),
-        "matrices": [f.matrix.toLists() for f in ms],
-    }
     if args.count:
         payload = {"count": len(ms)}
         lines = [str(len(ms))]
     else:
+        payload = {
+            "source": "foundation(%s)" % (m.name or "unnamed"),
+            "target": target.name,
+            "count": len(ms),
+            "matrices": [f.matrix.toLists() for f in ms],
+        }
         lines = ["morphisms: %d" % len(ms)]
         for f in ms:
             lines.append(formatMatrix(f.matrix.data))

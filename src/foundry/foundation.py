@@ -13,7 +13,7 @@ import itertools
 
 from .matroid import InvalidMatroidError
 from .pasture import Pasture
-from .zlattice import GroupHom, GroupPresentation, IntMatrix, cokernelPresentation
+from .zlattice import GroupPresentation, IntMatrix, cokernelPresentation
 
 
 class AmbientSymbolGroup:
@@ -168,8 +168,7 @@ def computeFoundation(m, basis=None):
     ambient = AmbientSymbolGroup(m)
     graph = m.exchangeGraphAndForest(basis)
     relations = tutteRelations(ambient, basis).hstack(innerTutteRelations(ambient, graph))
-    pres, proj = cokernelPresentation(relations)
-    rhoZero = GroupHom(ambient.pres, pres, proj.matrix)
+    pres, rhoZero = cokernelPresentation(relations)
     epsilon = rhoZero.apply(ambient.epsilonVector())
     heads = []
     if m.rank >= 2:

@@ -4,10 +4,9 @@ The search factors through the unit groups: pick a full-rank sublattice of
 the source generated by fundamental elements (recording how each generator
 was forced), enumerate torsion-block candidates, then extend level by level
 through a pruned depth-first search.  Surviving leaf assignments are
-assembled into integer matrices, and every assembled matrix is validated
-against the full morphism criterion (epsilon preserved, fundamental pairs to
-fundamental pairs), which subsumes the necessary conditions used for
-pruning.
+assembled into integer matrices; each is kept when it sends every source
+hexagon head to a fundamental pair, the one part of the morphism criterion
+(isMorphism) that does not hold by construction.
 
 The search runs on plain integers.  Each rule target and each half of each
 type-four check is a slot, a torsion constant plus an integer combination
@@ -74,8 +73,8 @@ class PastureMorphism:
 
 def isMorphism(f):
     """Full morphism criterion: well-defined, epsilon to epsilon, and every
-    hexagon head pair to a fundamental pair.  The rest of each hexagon then
-    follows from the closure identities."""
+    hexagon head pair to a fundamental pair (the rest of each hexagon then
+    follows from the closure identities).  The oracle for _Search.emit."""
     if not f.hom.isWellDefined():
         return False
     if f.apply(f.source.epsilon) != f.target.epsilon:
@@ -234,13 +233,13 @@ class SublatticeData:
     the primitive dependency data of pairs that became doubly dependent.
     counts: how many pairs of each kind produced rules or list entries.
     freeMatrix: A_F, whose columns are the generators' free parts.  Its
-    factorisation per modulus, the lift offsets per target torsion and the
-    search's slot program are built on first use and kept for the life of
-    the source pasture.
+    factorisation per modulus, its cokernel, the lift offsets per target
+    torsion and the search's slot program are built on first use and kept
+    for the life of the source pasture.
     """
 
     __slots__ = ("generators", "rules", "typeFourLists", "counts", "freeMatrix",
-                 "_offsets", "_solvers", "_program")
+                 "_coker", "_offsets", "_solvers", "_program")
 
     def __init__(self, generators, rules, typeFourLists, counts, freeMatrix):
         self.generators = generators
@@ -248,6 +247,7 @@ class SublatticeData:
         self.typeFourLists = typeFourLists
         self.counts = counts
         self.freeMatrix = freeMatrix
+        self._coker = None
         self._offsets = {}
         self._solvers = {}
         self._program = None
@@ -259,7 +259,7 @@ class SublatticeData:
         projection onto coker(A_F), finite because A_F has full rank."""
         offsets = self._offsets.get(invariants)
         if offsets is None:
-            pres, proj = cokernelPresentation(self.freeMatrix)
+            pres, proj = self._coker = self._coker or cokernelPresentation(self.freeMatrix)
             if pres.freeRank:
                 raise ValueError("sublattice free parts must have full rank")
             offsets = self._offsets[invariants] = tuple(
@@ -629,15 +629,15 @@ class _Search:
     The target group is kept coordinate-major: slot values are one list of
     ints per target coordinate, torsion coordinates reduced mod a_i and free
     ones unreduced (modulus 0 below), and images are coordinate tuples.
-    Candidates come from tables built once here: the partners of each
-    fundamental element, and for every t1/t2 rule the candidates of each
-    value of its slot.  A type-four entry looks its pair (yU, yV), flattened
-    into one tuple, up in the target's fundamental pairs scaled by (c0u, c0v).
+    Candidates come from the target's partner table and from tables built
+    once here: for every t1/t2 rule the candidates of each value of its
+    slot.  A type-four entry looks its pair (yU, yV), flattened into one
+    tuple, up in the target's fundamental pairs scaled by (c0u, c0v).
     """
 
     __slots__ = ("p1", "p2", "sub", "findOne", "findIso", "stats", "found", "mods",
-                 "freeStart", "fundamentalElements", "partners", "levels", "images",
-                 "psiRows", "psiImages")
+                 "freeStart", "fundamentalElements", "partners", "heads", "levels",
+                 "images", "psiRows", "psiImages")
 
     def __init__(self, p1, p2, sub, findOne, findIso, stats):
         self.p1, self.p2, self.sub = p1, p2, sub
@@ -648,10 +648,8 @@ class _Search:
         self.freeStart = len(g2.invariants)
         fe2 = self.fundamentalElements = p2.fundamentalElements()
         fp2 = p2.fundamentalPairs()
-        partners = {}
-        for x, y in sorted(p2.pairSet()):
-            partners.setdefault(x, []).append(y)
-        self.partners = partners = {x: tuple(ys) for x, ys in partners.items()}
+        partners = self.partners = p2._partners
+        self.heads = tuple(h.pairs[0] for h in p1.hexagons)
         tables = {}
         pairSets = {}
         levels = []
@@ -747,29 +745,31 @@ class _Search:
         return False
 
     def emit(self, hom):
-        f = PastureMorphism(self.p1, self.p2, hom)
-        # searchMorphisms checked the shapes an isomorphism needs
-        if isMorphism(f) and (not self.findIso or f.hom.isSurjective()):
-            self.stats.valid += 1
-            self.found.append(f)
-            return self.findOne
-        return False
+        # Of isMorphism's checks only the hexagon heads can fail on a lift:
+        # epsilon is kept, as both epsilons are 2-torsion (free coordinates 0)
+        # and psi(eps1) == eps2 (torsionHoms), and the lift is well-defined,
+        # as each torsion column is one of psi (a homFinite hom) over zeros.
+        # searchMorphisms checked the other shapes an isomorphism needs.
+        pairs = self.p2.pairSet()
+        if (any((hom.apply(x), hom.apply(y)) not in pairs for x, y in self.heads)
+                or self.findIso and not hom.isSurjective()):
+            return False
+        self.stats.valid += 1
+        self.found.append(PastureMorphism(self.p1, self.p2, hom))
+        return self.findOne
 
 
 def searchMorphisms(p1, p2, findOne=False, findIso=False, stats=None):
     """All pasture morphisms from p1 to p2, canonically sorted.
 
     For each torsion block psi, a depth-first search picks the image of one
-    sublattice generator per level.  Each rule target and each half of each
-    type-four pair is a slot of the sublattice's SlotProgram: its value
-    starts at psi(tau), and a picked image y adds c * y to every live slot,
-    one multiply-add per slot and target coordinate, folded in by the child
-    node once one of its own candidates survives.  Rule candidates come from
-    tables built once per search (partners, t1 and t2 lookups).  Type-four
+    sublattice generator per level, carrying the values of the sublattice's
+    SlotProgram down the tree.  Rule candidates come from the target's
+    partner table and t1 and t2 lookups built once per search.  Type-four
     entries are checked in order and stop at the first that fails; each
-    costs a multiply-add per coordinate and half and one set lookup.  Every
-    leaf is assembled and every assembled map validated by isMorphism, and
-    under findIso also checked to be surjective.
+    costs a multiply-add per coordinate and half and one set lookup.  A
+    leaf's lifts are kept when they send each source hexagon head to a
+    fundamental pair; the rest of isMorphism holds by construction.
 
     findOne stops at the first valid morphism in search order.  findIso
     restricts to isomorphisms: torsion blocks must be bijective, candidate

@@ -99,7 +99,8 @@ def hexagonType(hexagon):
 class Pasture:
     """A finitely presented pasture with canonicalized hexagons."""
 
-    __slots__ = ("group", "epsilon", "hexagons", "name", "field", "_pairSet", "_sublattice")
+    __slots__ = ("group", "epsilon", "hexagons", "name", "field", "_pairs", "_pairSet",
+                 "_partners", "_sublattice")
 
     def __init__(self, group, epsilon, hexagonHeads, name=None, field=None):
         self.group = group
@@ -110,22 +111,28 @@ class Pasture:
         self.hexagons = tuple(sorted(hexes, key=lambda h: h.pairs))
         self.name = name
         self.field = field
-        self._pairSet = frozenset(p for h in self.hexagons for p in h.orientedPairs())
+        # the oriented pairs in scan order, and each fundamental element's
+        # partners, keyed and listed in sorted order
+        self._pairs = tuple(dict.fromkeys(p for h in self.hexagons for p in h.orientedPairs()))
+        self._pairSet = frozenset(self._pairs)
+        partners = {}
+        for x, y in sorted(self._pairs):
+            partners.setdefault(x, []).append(y)
+        self._partners = {x: tuple(ys) for x, ys in partners.items()}
         self._sublattice = None  # write-once cache used by the morphism search
 
     def fundamentalPairs(self):
         """All oriented fundamental pairs in deterministic scan order."""
-        return tuple(dict.fromkeys(p for h in self.hexagons for p in h.orientedPairs()))
+        return self._pairs
 
     def pairSet(self):
         return self._pairSet
 
     def fundamentalElements(self):
-        return tuple(sorted({p[0] for p in self._pairSet}))
+        return tuple(self._partners)
 
     def partnersOf(self, x):
-        x = self.group.reduce(x)
-        return tuple(sorted(y for (a, y) in self._pairSet if a == x))
+        return self._partners.get(self.group.reduce(x), ())
 
     def hexagonTypes(self):
         return tuple(hexagonType(h) for h in self.hexagons)

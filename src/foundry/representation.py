@@ -9,6 +9,7 @@ reduced form, byte for byte reproducible.
 from __future__ import annotations
 
 from itertools import combinations
+from operator import mul
 
 from ._gf import FiniteField
 from .foundation import computeFoundation, inversionParity
@@ -44,15 +45,6 @@ class FieldRepresentation:
 
     def __repr__(self):
         return "FieldRepresentation(q=%d, %r)" % (self.field.q, [list(r) for r in self.matrix])
-
-
-def _fieldValue(pasture, element):
-    """Unit-group coordinates to a field element via the fixed generator."""
-    if pasture.field is None:
-        raise ValueError("pasture %r has no attached field" % (pasture.name,))
-    if not element:
-        return 1
-    return pasture.field.exp(element[0])
 
 
 def gpFromMorphism(foundationResult, morphism):
@@ -111,26 +103,20 @@ def gpToMatrix(foundationResult, morphism):
     Columns of the reference basis form an identity; any other entry (i, j)
     is the value at the basis obtained by exchanging the i-th reference
     element for j, and zero when that exchange is not a basis.  Only those
-    r(n - r) values are computed, from the foundation elements cached by
-    FoundationResult.nearBasisImages.
+    r(n - r) values are computed, from the foundation elements v cached by
+    FoundationResult.nearBasisImages.  A field's unit group has at most one
+    coordinate, so the morphism is one row (empty for GF(2)) and each value
+    is the field's generator to the power row . v.
     """
     fr = foundationResult
     target = morphism.target
     if target.field is None:
         raise ValueError("morphism target %r has no attached field" % (target.name,))
-    near = fr.nearBasisImages()
-    b0 = fr.basis
-    rows = []
-    for i, gElem in enumerate(b0):
-        row = []
-        for j in range(fr.matroid.n):
-            if j in b0:
-                row.append(1 if j == gElem else 0)
-            else:
-                v = near.get((i, j))
-                row.append(0 if v is None else _fieldValue(target, morphism.apply(v)))
-        rows.append(tuple(row))
-    return tuple(rows)
+    row, = morphism.matrix.data or ((),)
+    rows = [[1 if j == a else 0 for j in range(fr.matroid.n)] for a in fr.basis]
+    for (i, j), v in fr.nearBasisImages().items():
+        rows[i][j] = target.field.exp(sum(map(mul, row, v)))
+    return tuple(map(tuple, rows))
 
 
 def _det(rows, cols, field):

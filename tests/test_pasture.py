@@ -1,3 +1,4 @@
+import functools
 import random
 
 import pytest
@@ -159,10 +160,10 @@ def test_hexagon_canonical_under_reorientation():
                 assert rebuilt == h
 
 
-def test_hexagon_closure_matches_the_two_closure_definition():
-    """The head's triple read off the six oriented pairs equals closing the
-    head a second time, on every oriented pair of catalogue foundations and
-    their duals, the builtins and the fields below 100."""
+@functools.lru_cache(maxsize=None)
+def roster():
+    """The builtins, the foundations of the catalogue and of its duals, and
+    GF(q) for every prime power q < 100."""
     pastures = [builtinPasture(name) for name in ("f1pm", "krasner", "sign", "U", "D",
                                                   "H", "F3", "P0")]
     for name in sorted(_NAMED_NONBASES):
@@ -173,13 +174,41 @@ def test_hexagon_closure_matches_the_two_closure_definition():
             pastures.append(gfPasture(q))
         except InvalidPastureError:
             pass
+    return tuple(pastures)
+
+
+def test_hexagon_closure_matches_the_two_closure_definition():
+    """The head's triple read off the six oriented pairs equals closing the
+    head a second time, on every oriented pair of catalogue foundations and
+    their duals, the builtins and the fields below 100."""
     checked = 0
-    for p in pastures:
+    for p in roster():
         for x, y in p.fundamentalPairs():
             triple = closureTriple(p.group, p.epsilon, x, y)
             head = min(c for pair in triple for c in (pair, pair[::-1]))
             expected = Hexagon(closureTriple(p.group, p.epsilon, *head))
             assert hexagonClosure(p.group, p.epsilon, x, y) == expected, (p, x, y)
+            checked += 1
+    assert checked > 2000
+
+
+def test_pair_tables_match_their_definitions():
+    """The pair tables a pasture builds once, against the definitions they
+    replace: pairs in first-seen order over the hexagons, elements the sorted
+    first members, and the partners of x the sorted second members of the
+    pairs at x, for x given unreduced and for x not fundamental."""
+    checked = 0
+    for p in roster():
+        g = p.group
+        pairs = tuple(dict.fromkeys(pair for h in p.hexagons for pair in h.orientedPairs()))
+        assert p.fundamentalPairs() == pairs, p
+        elements = tuple(sorted({x for x, _ in p.pairSet()}))
+        assert p.fundamentalElements() == elements, p
+        shift = tuple(g.invariants) + (0,) * g.freeRank
+        for x in set(elements) | {g.scale(2, x) for x in elements} | {g.zero()}:
+            expected = tuple(sorted(y for a, y in p.pairSet() if a == x))
+            assert p.partnersOf(x) == expected, (p, x)
+            assert p.partnersOf(tuple(a + b for a, b in zip(x, shift))) == expected, (p, x)
             checked += 1
     assert checked > 2000
 

@@ -20,7 +20,7 @@ import pytest
 import foundry.morphism
 from foundry.foundation import computeFoundation
 from foundry.matroid import namedMatroid
-from foundry.morphism import SearchStats, searchMorphisms
+from foundry.morphism import PastureMorphism, SearchStats, isMorphism, searchMorphisms
 from foundry.pasture import builtinPasture, gfPasture
 
 FROZEN = json.loads((Path(__file__).parent / "data" / "search_frozen.json").read_text())
@@ -39,26 +39,43 @@ def sourceOf(name):
     return pasture(name if name == "P0" else "F:" + name)
 
 
-@pytest.mark.parametrize("source", sorted({case.split(">")[0] for case in FROZEN}))
-def test_search_matches_frozen_record(source, monkeypatch):
-    """Also checks, on every case, that every lift a leaf assembles is
-    canonical as built and that no morphism is returned twice, since the
-    search keeps no duplicate filter."""
-    assembled = []
+@pytest.fixture
+def assembled(monkeypatch):
+    """Every lift the search assembles, recorded by wrapping assemble."""
+    lifts = []
     original = foundry.morphism.assemble
 
     def recordingAssemble(*args):
         homs = original(*args)
-        assembled.extend(homs)
+        lifts.extend(homs)
         return homs
 
     monkeypatch.setattr(foundry.morphism, "assemble", recordingAssemble)
+    return lifts
+
+
+def oracleKeys(p1, p2, lifts, findIso):
+    """The sort keys of the lifts that pass the full morphism criterion,
+    and under findIso are also surjective."""
+    maps = [PastureMorphism(p1, p2, h) for h in lifts]
+    return sorted(f.sortKey() for f in maps
+                  if isMorphism(f) and (not findIso or f.hom.isSurjective()))
+
+
+@pytest.mark.parametrize("source", sorted({case.split(">")[0] for case in FROZEN}))
+def test_search_matches_frozen_record(source, assembled):
+    """Also checks, on every case, that every lift a leaf assembles is
+    canonical as built and that no morphism is returned twice, since the
+    search keeps no duplicate filter; and, when the whole search runs (no
+    findOne), that the maps returned are exactly the lifts that pass
+    isMorphism, since the search itself checks only the hexagon heads."""
     for case in sorted(c for c in FROZEN if c.split(">")[0] == source):
         _, target, flags = case.split(">")
+        findOne, findIso = flags[0] == "1", flags[1] == "1"
         assembled.clear()
         stats = SearchStats()
-        found = searchMorphisms(sourceOf(source), pasture(target), findOne=flags[0] == "1",
-                                findIso=flags[1] == "1", stats=stats)
+        found = searchMorphisms(sourceOf(source), pasture(target), findOne=findOne,
+                                findIso=findIso, stats=stats)
         keys = [m.sortKey() for m in found]
         digest = hashlib.sha256(repr(keys).encode()).hexdigest()[:12]
         d = stats.asDict()
@@ -67,3 +84,14 @@ def test_search_matches_frozen_record(source, monkeypatch):
         assert got == FROZEN[case], case
         assert all(h.matrix == h.canonicalMatrix() for h in assembled), case
         assert len(set(keys)) == len(keys), case
+        if not findOne:
+            assert oracleKeys(sourceOf(source), pasture(target), assembled, findIso) == keys, case
+
+
+@pytest.mark.parametrize("name", ["example52", "fano", "nonfano", "pappus", "nonpappus",
+                                  "vamos", "ag23", "t8", "uniform:2,4"])
+def test_search_keeps_exactly_the_lifts_that_pass_is_morphism(name, assembled):
+    """The criterion-10 matroids into GF(16), with isMorphism as the oracle."""
+    source, target = pasture("F:" + name), pasture("gf16")
+    keys = [m.sortKey() for m in searchMorphisms(source, target)]
+    assert oracleKeys(source, target, assembled, False) == keys

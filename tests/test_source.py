@@ -45,6 +45,24 @@ def test_package_imports_only_the_standard_library():
     assert found == []
 
 
+def test_every_imported_name_is_used():
+    """A module uses every name it imports, so deleting the last use of a
+    name also deletes its import.  A use is a Name node; `__future__`
+    imports are directives, not names."""
+    found = []
+    for path, tree in parsedModules():
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in used:
+                        found.append("%s:%d %s" % (path.name, node.lineno, name))
+    assert found == []
+
+
 def test_cli_import_loads_nothing_outside_the_standard_library():
     """Checked in a fresh interpreter, against the modules it had loaded
     before importing foundry.cli."""

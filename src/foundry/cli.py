@@ -3,13 +3,15 @@
 Exit codes: 0 on success, 2 for domain errors (invalid matroid or pasture
 data, unknown names, sources not generated by fundamental elements) and for
 a computed matrix that fails its matroid check, 1 for input and usage
-errors (unreadable files, malformed JSON, bad flags).
+errors (unreadable files, malformed JSON, bad flags) and when the reader of
+standard output closes it early.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from ._gf import FieldError
@@ -324,7 +326,14 @@ def run(argv=None):
 
 
 def main(argv=None):
-    sys.exit(run(argv))
+    try:
+        code = run(argv)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader left early; the interpreter's last flush goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -10,6 +10,7 @@ hyperplanes over corank-2 flats.
 from __future__ import annotations
 
 import itertools
+from operator import sub
 
 from .matroid import InvalidMatroidError
 from .pasture import Pasture
@@ -54,25 +55,33 @@ def inversionParity(seq):
     return count & 1
 
 
-def crossRatio(ambient, prefix, k1, k2, k3, k4):
-    """The cross-ratio symbol vector for the pairs (k1 k3)(k2 k4) over prefix.
+def crossRatioTerms(ambient, prefix, k1, k2, k3, k4):
+    """The cross-ratio symbol for the pairs (k1 k3)(k2 k4) over prefix, as
+    (coordinate, coefficient) terms.
 
     Additively: X(prefix+k1k3) + X(prefix+k2k4) - X(prefix+k1k4)
     - X(prefix+k2k3), with e_eps added when the four sorting signs multiply
     to -1.  All four index sets must be bases.
     """
     prefix = tuple(prefix)
-    m = ambient.matroid
-    vec = list(ambient.zero())
-    parity = 0
+    terms = []
     for ki, kj, coeff in ((k1, k3, 1), (k2, k4, 1), (k1, k4, -1), (k2, k3, -1)):
         basis = tuple(sorted(prefix + (ki, kj)))
         if basis not in ambient.index:
             raise InvalidMatroidError("cross-ratio subscript %r is not a basis" % (basis,))
-        vec[ambient.index[basis]] += coeff
-    for ki, kj in ((k1, k3), (k2, k4), (k1, k4), (k2, k3)):
-        parity ^= inversionParity(prefix + (ki, kj))
-    vec[0] += parity
+        terms.append((ambient.index[basis], coeff))
+    # parity of the four sorts of prefix + (ki, kj): inversions within prefix
+    # or between prefix and a k cancel, since each k is in two of the pairs
+    if (k1 > k3) ^ (k2 > k4) ^ (k1 > k4) ^ (k2 > k3):
+        terms.append((0, 1))
+    return terms
+
+
+def crossRatio(ambient, prefix, k1, k2, k3, k4):
+    """The cross-ratio symbol of crossRatioTerms as a vector of length dim."""
+    vec = list(ambient.zero())
+    for i, coeff in crossRatioTerms(ambient, prefix, k1, k2, k3, k4):
+        vec[i] += coeff
     return tuple(vec)
 
 
@@ -172,16 +181,26 @@ def computeFoundation(m, basis=None):
     epsilon = rhoZero.apply(ambient.epsilonVector())
     heads = []
     if m.rank >= 2:
-        hyperplanes = m.flatsOfCorank(1)
+        # rhoZero of a cross ratio: its +1 columns summed, less its -1 columns
+        columns = rhoZero.matrix.transpose().data
+
+        def image(terms):
+            plus = zip(*[columns[i] for i, coeff in terms if coeff == 1])
+            minus = zip(*[columns[i] for i, coeff in terms if coeff == -1])
+            return pres.reduce(map(sub, map(sum, plus), map(sum, minus)))
+
+        hyperplanes = [sum(1 << e for e in h) for h in m.flatsOfCorank(1)]
         for flat in m.flatsOfCorank(2):
-            over = [h for h in hyperplanes if set(flat) <= set(h)]
+            inside = sum(1 << e for e in flat)
+            over = [h & ~inside for h in hyperplanes if not inside & ~h]
             if len(over) < 4:
                 continue
             prefix = _greedyIndependent(m, flat, m.rank - 2)
             for quad in itertools.combinations(over, 4):
-                a1, a2, a3, a4 = (min(set(h) - set(flat)) for h in quad)
-                first = rhoZero.apply(crossRatio(ambient, prefix, a1, a2, a3, a4))
-                second = rhoZero.apply(crossRatio(ambient, prefix, a1, a3, a2, a4))
+                # the least element of each hyperplane outside the flat
+                a1, a2, a3, a4 = ((h & -h).bit_length() - 1 for h in quad)
+                first = image(crossRatioTerms(ambient, prefix, a1, a2, a3, a4))
+                second = image(crossRatioTerms(ambient, prefix, a1, a3, a2, a4))
                 heads.append((first, second))
     name = "foundation(%s)" % (m.name or "matroid")
     foundation = Pasture(pres, epsilon, heads, name=name)

@@ -1,10 +1,11 @@
 """Exact integer linear algebra for finitely generated abelian groups.
 
-Everything works over plain Python ints: Smith normal form, building each
-unimodular transform only for callers that read it, a span check that
-inserts columns into an echelon basis, cokernel presentations, modular
-linear solves against a matrix factored once, and enumeration of
-homomorphisms between finite abelian groups.
+Everything works over plain Python ints: Smith normal form by elimination
+over the nonzeros of each pivot row, building each unimodular transform
+only for callers that read it, a span check that inserts columns into an
+echelon basis, cokernel presentations, modular linear solves against a
+matrix factored once, and enumeration of homomorphisms between finite
+abelian groups.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ class IntMatrix:
 
     @classmethod
     def identity(cls, n):
-        return cls(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)), cols=n)
+        return cls(_identityRows(n), cols=n)
 
     @classmethod
     def fromColumns(cls, columns, dim=None):
@@ -127,6 +128,10 @@ class SnfResult:
         return tuple(self.D.entry(i, i) for i in range(k))
 
 
+def _identityRows(n):
+    return [[0] * i + [1] + [0] * (n - 1 - i) for i in range(n)]
+
+
 def _swapRows(m, i, j):
     m[i], m[j] = m[j], m[i]
 
@@ -138,11 +143,6 @@ def _swapCols(m, i, j):
 
 def _addRow(m, dst, src, factor):
     m[dst] = [a + factor * b for a, b in zip(m[dst], m[src])]
-
-
-def _addCol(m, dst, src, factor):
-    for row in m:
-        row[dst] += factor * row[src]
 
 
 def _pivot(d, t):
@@ -171,12 +171,14 @@ def smithForm(a, withU=False, withV=False):
 
     Pivot selection is deterministic: the entry of smallest absolute value in
     the working block, ties broken by lowest (row, col).  The diagonal of D is
-    nonnegative and each entry divides the next.
+    nonnegative and each entry divides the next.  Each elimination step
+    costs the nonzeros of the pivot row (of D, and of U when it is built),
+    times the rows and columns it changes.
     """
     m, n = a.rows, a.cols
     d = [list(row) for row in a.data]
-    u = IntMatrix.identity(m).toLists() if withU else [[] for _ in range(m)]
-    v = IntMatrix.identity(n).toLists() if withV else []
+    u = _identityRows(m) if withU else [[] for _ in range(m)]
+    v = _identityRows(n) if withV else []
     t = 0
     while t < min(m, n):
         best = _pivot(d, t)
@@ -192,18 +194,30 @@ def smithForm(a, withU=False, withV=False):
         if d[t][t] < 0:
             d[t] = [-x for x in d[t]]
             u[t] = [-x for x in u[t]]
-        pivot = d[t][t]
+        pivot, top, topU = d[t][t], d[t], u[t]
+        # rows from t on are zero left of column t: run over the pivot row's nonzeros
+        cols = list(itertools.compress(range(t + 1, n), top[t + 1:]))
+        colsU = list(itertools.compress(range(m), topU))
         for i in range(t + 1, m):
             q = d[i][t] // pivot
             if q:
-                _addRow(d, i, t, -q)
-                _addRow(u, i, t, -q)
-        for j in range(t + 1, n):
-            q = d[t][j] // pivot
+                row, rowU = d[i], u[i]
+                row[t] -= q * pivot
+                for j in cols:
+                    row[j] -= q * top[j]
+                for j in colsU:
+                    rowU[j] -= q * topU[j]
+        # column t is the pivot alone unless a row step left a remainder there
+        live = [row for row in d[t:] if row[t]]
+        liveV = [row for row in v if row[t]]
+        for j in cols:
+            q = top[j] // pivot
             if q:
-                _addCol(d, j, t, -q)
-                _addCol(v, j, t, -q)
-        if any(d[i][t] for i in range(t + 1, m)) or any(d[t][j] for j in range(t + 1, n)):
+                for row in live:
+                    row[j] -= q * row[t]
+                for row in liveV:
+                    row[j] -= q * row[t]
+        if len(live) > 1 or any(top[j] for j in cols):
             continue  # leftover remainders are smaller than the pivot; reselect
         offender = None
         if pivot > 1:  # a unit pivot divides every entry

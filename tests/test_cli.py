@@ -1,9 +1,14 @@
 """End-to-end command line checks driven through run()."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import foundry
 from foundry.cli import run
 from foundry.matroid import matroidToJson, namedMatroid
 from foundry.pasture import builtinPasture, pastureToJson
@@ -300,3 +305,18 @@ def test_unreadable_json_exits_one(capsys, tmp_path, data):
         assert run(argv) == 1
         captured = capsys.readouterr()
         assert captured.err.startswith("input error:") and captured.err.count("\n") == 1
+
+
+def test_reader_closing_stdout_early_exits_one_without_a_traceback():
+    """The 8930 matrices fill the pipe long before the process ends, so the
+    write fails once the reader has taken one line and gone."""
+    env = dict(os.environ, PYTHONPATH=str(Path(foundry.__file__).parents[1]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "foundry.cli", "morphisms", "--matroid", "uniform(2,5)",
+         "--target", "gf:97"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline() == b"morphisms: 8930\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 1
+    assert err == b""  # no traceback

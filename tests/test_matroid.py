@@ -110,7 +110,72 @@ def test_exchange_validation_rejects_bad_data():
     Matroid.fromBases(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
 
 
+def bruteForceExchange(m):
+    """Oracle: the exchange check that validation replaced, one sorted-tuple
+    lookup per (B1, B2, a, b), with a taken in set order."""
+    for b1 in m.bases:
+        s1 = set(b1)
+        for b2 in m.bases:
+            s2 = set(b2)
+            for a in s1 - s2:
+                if not any(tuple(sorted(s1 - {a} | {b})) in m.basesSet for b in s2 - s1):
+                    raise InvalidMatroidError(
+                        "exchange axiom fails for %r, %r at %r" % (b1, b2, a))
+
+
+def exchangeVerdict(check, m):
+    try:
+        check(m)
+    except InvalidMatroidError as e:
+        return str(e)
+    return None
+
+
+def test_exchange_check_matches_brute_force():
+    rng = random.Random(20261021)
+    families = []
+    for name in sorted(NAMED_BASIS_COUNTS) + ["uniform(2,4)", "uniform(2,5)", "uniform(3,6)"]:
+        for m in (namedMatroid(name), namedMatroid(name).dual()):
+            others = [s for s in itertools.combinations(range(m.n), m.rank)
+                      if s not in m.basesSet]
+            for _ in range(6):
+                drop = rng.randrange(len(m.bases))
+                families.append((m.n, m.bases[:drop] + m.bases[drop + 1:]))
+                if others:
+                    families.append((m.n, m.bases + (rng.choice(others),)))
+    for _ in range(400):
+        n = rng.randint(1, 10)
+        subsets = list(itertools.combinations(range(n), rng.randint(0, n)))
+        keep = rng.choice((0.2, 0.6, 0.9, 0.97))
+        families.append((n, [s for s in subsets if rng.random() < keep] or subsets[:1]))
+    failing = 0
+    for n, bases in families:
+        m = Matroid.fromBases(n, bases, validate=False)
+        expected = exchangeVerdict(bruteForceExchange, m)
+        assert exchangeVerdict(Matroid._checkExchange, m) == expected, (n, bases)
+        failing += expected is not None
+    assert 100 < failing < len(families) - 100
+
+
+def test_exchange_failure_names_a_in_set_order():
+    """Both 2 and 9 fail for the first failing pair; the message names the
+    first in set iteration order, which is 9, not the smaller 2."""
+    m = Matroid.fromBases(10, [(0, 2, 9), (0, 3, 4)], validate=False)
+    message = "exchange axiom fails for (0, 2, 9), (0, 3, 4) at 9"
+    assert exchangeVerdict(bruteForceExchange, m) == message
+    with pytest.raises(InvalidMatroidError) as e:
+        Matroid.fromBases(10, [(0, 2, 9), (0, 3, 4)])
+    assert str(e.value) == message
+
+
 def test_closure_and_flats_against_brute_force():
+    for name in sorted(NAMED_BASIS_COUNTS) + ["uniform(2,5)", "uniform(3,6)"]:
+        for m in (namedMatroid(name), namedMatroid(name).dual()):
+            for size in range(m.n + 1):
+                for s in itertools.combinations(range(m.n), size):
+                    r = m.rankOf(s)
+                    assert m.closure(s) == tuple(
+                        e for e in range(m.n) if e in s or m.rankOf(s + (e,)) == r), (name, s)
     for name in ("example52", "fano", "pappus"):
         m = namedMatroid(name)
         allFlats = set()

@@ -6,6 +6,7 @@ import pytest
 from sympy import Matrix
 from sympy.matrices.normalforms import smith_normal_form
 
+from foundry.foundation import AmbientSymbolGroup, innerTutteRelations, tutteRelations
 from foundry.zlattice import (
     GroupHom,
     GroupPresentation,
@@ -19,6 +20,8 @@ from foundry.zlattice import (
     solveModular,
     spansLattice,
 )
+from test_foundation_frozen import cases as frozenFoundationCases
+from test_foundation_frozen import matroidOf as frozenFoundationMatroid
 
 
 def randomMatrix(rng, rows, cols, bound=30):
@@ -129,6 +132,94 @@ def test_transform_free_kernel_matches_full_form():
         assert onlyV.V == full.V and onlyV.U is None
         pres, _ = cokernelPresentation(a)
         assert spansLattice(a) == (pres.dim == 0)
+
+
+def denseSmithForm(a, withU=False, withV=False):
+    """Oracle: the Smith elimination that smithForm replaced, every row and
+    column operation over whole rows and columns."""
+
+    def addRow(mat, dst, src, factor):
+        mat[dst] = [x + factor * y for x, y in zip(mat[dst], mat[src])]
+
+    def addCol(mat, dst, src, factor):
+        for row in mat:
+            row[dst] += factor * row[src]
+
+    def swapCols(mat, i, j):
+        for row in mat:
+            row[i], row[j] = row[j], row[i]
+
+    m, n = a.rows, a.cols
+    d = [list(row) for row in a.data]
+    u = IntMatrix.identity(m).toLists() if withU else [[] for _ in range(m)]
+    v = IntMatrix.identity(n).toLists() if withV else []
+    t = 0
+    while t < min(m, n):
+        best = None
+        for i in range(t, m):
+            for j in range(t, n):
+                e = abs(d[i][j])
+                if e and (best is None or e < best[0]):
+                    best = (e, i, j)
+        if best is None:
+            break
+        _, bi, bj = best
+        d[t], d[bi] = d[bi], d[t]
+        u[t], u[bi] = u[bi], u[t]
+        swapCols(d, t, bj)
+        swapCols(v, t, bj)
+        if d[t][t] < 0:
+            d[t] = [-x for x in d[t]]
+            u[t] = [-x for x in u[t]]
+        pivot = d[t][t]
+        for i in range(t + 1, m):
+            q = d[i][t] // pivot
+            if q:
+                addRow(d, i, t, -q)
+                addRow(u, i, t, -q)
+        for j in range(t + 1, n):
+            q = d[t][j] // pivot
+            if q:
+                addCol(d, j, t, -q)
+                addCol(v, j, t, -q)
+        if any(d[i][t] for i in range(t + 1, m)) or any(d[t][j] for j in range(t + 1, n)):
+            continue
+        offender = next((i for i in range(t + 1, m)
+                         if any(d[i][j] % pivot for j in range(t + 1, n))), None)
+        if offender is not None:
+            addRow(d, t, offender, 1)
+            addRow(u, t, offender, 1)
+            continue
+        t += 1
+    return (IntMatrix(u, cols=m) if withU else None, IntMatrix(d, cols=n),
+            IntMatrix(v, cols=n) if withV else None)
+
+
+def assertSameSmithForm(a):
+    for withU, withV in itertools.product((False, True), repeat=2):
+        res = smithForm(a, withU=withU, withV=withV)
+        assert (res.U, res.D, res.V) == denseSmithForm(a, withU, withV), (a, withU, withV)
+
+
+def test_smith_form_matches_dense_elimination():
+    rng = random.Random(20261020)
+    for _ in range(3000):
+        rows, cols = rng.randint(0, 9), rng.randint(0, 11)
+        density, bound = rng.uniform(0.1, 1.0), rng.choice([1, 2, 5, 50])
+        a = IntMatrix([[rng.randint(-bound, bound) if rng.random() < density else 0
+                        for _ in range(cols)] for _ in range(rows)], cols=cols)
+        assertSameSmithForm(a)
+
+
+def test_smith_form_matches_dense_elimination_on_foundation_relations():
+    """The relation matrices of every matroid in the frozen foundation record."""
+    for case in frozenFoundationCases():
+        m = frozenFoundationMatroid(case)
+        ambient = AmbientSymbolGroup(m)
+        graph = m.exchangeGraphAndForest(m.bases[0])
+        relations = tutteRelations(ambient, m.bases[0]).hstack(
+            innerTutteRelations(ambient, graph))
+        assertSameSmithForm(relations)
 
 
 def test_span_check_matches_smith_definition():

@@ -1,10 +1,11 @@
 """Command line interface.
 
 Exit codes: 0 on success, 2 for domain errors (invalid matroid or pasture
-data, unknown names, sources not generated by fundamental elements) and for
-a computed matrix that fails its matroid check, 1 for input and usage
-errors (unreadable files, malformed JSON, bad flags) and when the reader of
-standard output closes it early.
+data, unknown names, sources not generated by fundamental elements, a
+listing of more than MAX_MORPHISMS morphisms) and for a computed matrix
+that fails its matroid check, 1 for input and usage errors (unreadable
+files, malformed JSON, bad flags) and when the reader of standard output
+closes it early.
 """
 
 from __future__ import annotations
@@ -20,6 +21,8 @@ from .matroid import InvalidMatroidError, matroidFromJson, namedMatroid
 from .morphism import (
     NotGeneratedByFundamentalElements,
     SearchStats,
+    TooManyMorphisms,
+    countMorphisms,
     searchMorphisms,
     sublatticeOf,
 )
@@ -32,7 +35,7 @@ from .representation import (
 )
 
 _DOMAIN_ERRORS = (InvalidMatroidError, InvalidPastureError, FieldError,
-                  NotGeneratedByFundamentalElements)
+                  NotGeneratedByFundamentalElements, TooManyMorphisms)
 
 _BUILTIN_NAMES = ("sign", "krasner", "f1pm", "U", "D", "H", "F3", "P0")
 
@@ -163,11 +166,12 @@ def cmdMorphisms(args):
     fr = computeFoundation(m, parseBasis(args.basis))
     target = loadPasture(args.target)
     stats = SearchStats()
-    ms = searchMorphisms(fr.foundation, target, stats=stats)
     if args.count:
-        payload = {"count": len(ms)}
-        lines = [str(len(ms))]
+        count = countMorphisms(fr.foundation, target, stats=stats)
+        payload = {"count": count}
+        lines = [str(count)]
     else:
+        ms = searchMorphisms(fr.foundation, target, stats=stats)
         payload = {
             "source": "foundation(%s)" % (m.name or "unnamed"),
             "target": target.name,

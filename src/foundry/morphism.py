@@ -4,22 +4,28 @@ The search factors through the unit groups: pick a full-rank sublattice of
 the source generated by fundamental elements (recording how each generator
 was forced), enumerate torsion-block candidates, then extend level by level
 through a pruned depth-first search.  Surviving leaf assignments are
-assembled into integer matrices; each is kept when it sends every source
-hexagon head to a fundamental pair, the one part of the morphism criterion
-(isMorphism) that does not hold by construction.
+assembled into the integer rows of their lifts; a lift is kept when it
+sends every source hexagon head to a fundamental pair, the one part of the
+morphism criterion (isMorphism) that does not hold by construction, and
+only then becomes a GroupHom and a PastureMorphism.
 
 The search runs on plain integers.  Each rule target and each half of each
 type-four check is a slot, a torsion constant plus an integer combination
 of the images chosen so far; a sublattice compiles its slots once
 (SlotProgram), and the search carries their partial sums down the tree as
-one list of ints per target coordinate.  Candidates come from tables built
-once per search.  Fields (one coordinate), GF(2) and krasner (none) and
-targets with free rank all run this one path.
+one list of ints per target coordinate.  Candidates come from tables that
+the target pasture builds once and keeps (Pasture.ruleCandidates and
+Pasture.scaledPairs), so repeated searches into one target, such as the
+shared gfPasture(q), pay for them once.  Fields (one coordinate), GF(2) and
+krasner (none) and targets with free rank all run this one path.
+
+A listing keeps at most MAX_MORPHISMS maps; countMorphisms keeps none.
 """
 
 from __future__ import annotations
 
 from math import gcd, lcm
+from operator import mul
 
 from .zlattice import (
     GroupHom,
@@ -32,8 +38,18 @@ from .zlattice import (
 )
 
 
+# The most morphisms a listing keeps.  U(r,n) has about q^(r(n-r)-n+1)
+# morphisms into GF(q), so a query below the matroid and field ceilings can
+# still ask for billions of maps, each a few hundred bytes.
+MAX_MORPHISMS = 20_000
+
+
 class NotGeneratedByFundamentalElements(ValueError):
     """The source units are not generated by fundamental elements and epsilon."""
+
+
+class TooManyMorphisms(ValueError):
+    """A listing would keep more than MAX_MORPHISMS morphisms."""
 
 
 class PastureMorphism:
@@ -45,6 +61,13 @@ class PastureMorphism:
         self.source = source
         self.target = target
         self.hom = GroupHom(source.group, target.group, hom.canonicalMatrix())
+
+    @classmethod
+    def fromCanonical(cls, source, target, hom):
+        """The morphism of a hom whose matrix is already canonical."""
+        f = cls.__new__(cls)
+        f.source, f.target, f.hom = source, target, hom
+        return f
 
     @property
     def matrix(self):
@@ -588,8 +611,9 @@ def _freeRankIncreases(echelon, vec):
 
 
 def assemble(p1, p2, sub, psiRows, psiImages, images, stats):
-    """Every hom of the unit groups that extends the torsion block psi and
-    sends the sublattice generators to images, in lift order.
+    """The matrix rows of every hom of the unit groups that extends the
+    torsion block psi and sends the sublattice generators to images, in
+    lift order.
 
     psiRows are psi's matrix rows and psiImages psi's images of the
     generators' torsion parts.  The free block is the unique rational
@@ -597,17 +621,18 @@ def assemble(p1, p2, sub, psiRows, psiImages, images, stats):
     is one particular solution modulo its invariant, translated by each of
     sub.offsets(invariants) in turn.  A_F depends only on the sublattice and
     the offsets only on it and the target torsion, so a leaf pays only for
-    its solves and its matrices, which are canonical as built.
+    its solves and its rows, which are a canonical matrix as built: torsion
+    rows reduced mod their invariant, then the free rows.
     """
     g1, g2 = p1.group, p2.group
     invariants = g2.invariants
     n1, n2 = len(g1.invariants), len(invariants)
-    freeRows = []
+    freeRows = ()
     for i in range(n2, g2.dim):
         x = sub.solver(0).solve([y[i] for y in images])
         if x is None:
             return []
-        freeRows.append((0,) * n1 + x)
+        freeRows += ((0,) * n1 + x,)
     particular = []
     for i, b in enumerate(invariants):
         x = sub.solver(b).solve([y[i] - m[i] for y, m in zip(images, psiImages)])
@@ -616,68 +641,47 @@ def assemble(p1, p2, sub, psiRows, psiImages, images, stats):
         particular.append(x)
     out = []
     for offset in sub.offsets(invariants):
-        rows = [row + tuple([(s + t) % b for s, t in zip(x, off)])
-                for row, x, off, b in zip(psiRows, particular, offset, invariants)]
         stats.assembled += 1
-        out.append(GroupHom(g1, g2, IntMatrix(rows + freeRows, cols=g1.dim)))
+        out.append(tuple([row + tuple([(s + t) % b for s, t in zip(x, off)])
+                          for row, x, off, b in zip(psiRows, particular, offset, invariants)])
+                   + freeRows)
     return out
 
 
 class _Search:
-    """One search's target tables and its depth-first walk over the levels.
+    """One search's levels and its depth-first walk over them.
 
     The target group is kept coordinate-major: slot values are one list of
     ints per target coordinate, torsion coordinates reduced mod a_i and free
     ones unreduced (modulus 0 below), and images are coordinate tuples.
-    Candidates come from the target's partner table and from tables built
-    once here: for every t1/t2 rule the candidates of each value of its
+    Candidates come from the target's partner table and, for every t1/t2
+    rule, from the target's table of the candidates of each value of its
     slot.  A type-four entry looks its pair (yU, yV), flattened into one
-    tuple, up in the target's fundamental pairs scaled by (c0u, c0v).
+    tuple, up in the target's fundamental pairs scaled by (c0u, c0v).  The
+    kept maps are collected in found, or only counted when found is None.
     """
 
     __slots__ = ("p1", "p2", "sub", "findOne", "findIso", "stats", "found", "mods",
-                 "freeStart", "fundamentalElements", "partners", "heads", "levels",
+                 "freeStart", "fundamentalElements", "partners", "pairs", "heads", "levels",
                  "images", "psiRows", "psiImages")
 
-    def __init__(self, p1, p2, sub, findOne, findIso, stats):
+    def __init__(self, p1, p2, sub, findOne, findIso, stats, keep):
         self.p1, self.p2, self.sub = p1, p2, sub
         self.findOne, self.findIso, self.stats = findOne, findIso, stats
-        self.found = []
+        self.found = [] if keep else None
         g2 = p2.group
         self.mods = g2.invariants + (0,) * g2.freeRank
         self.freeStart = len(g2.invariants)
-        fe2 = self.fundamentalElements = p2.fundamentalElements()
-        fp2 = p2.fundamentalPairs()
-        partners = self.partners = p2._partners
+        self.fundamentalElements = p2.fundamentalElements()
+        self.partners = p2._partners
+        self.pairs = p2.pairSet()
         self.heads = tuple(h.pairs[0] for h in p1.hexagons)
-        tables = {}
-        pairSets = {}
-        levels = []
-        for kind, ruleRead, ruleCoeffs, entries, carry in sub.program().levels:
-            table = tables.get(ruleCoeffs)
-            if table is None and kind == "t1":
-                # c_l * x -> the partners of every such x, in fe2 order
-                cl, = ruleCoeffs
-                table = {}
-                for x in fe2:
-                    table.setdefault(g2.scale(cl, x), {}).update(dict.fromkeys(partners[x]))
-                table = tables[ruleCoeffs] = {k: tuple(v) for k, v in table.items()}
-            elif table is None and kind == "t2":
-                # c_l * x + c_(l+1) * y -> every such x, in fp2 order
-                cl, cnext = ruleCoeffs
-                table = {}
-                for x, y in fp2:
-                    table.setdefault(g2.add(g2.scale(cl, x), g2.scale(cnext, y)), {})[x] = None
-                table = tables[ruleCoeffs] = {k: tuple(v) for k, v in table.items()}
-            checks = []
-            for kU, uPrev, uL, kV, vPrev, vL, c0u, c0v in entries:
-                pairs = pairSets.get((c0u, c0v))
-                if pairs is None:
-                    pairs = pairSets[c0u, c0v] = frozenset(
-                        g2.scale(c0u, z1) + g2.scale(c0v, z2) for z1, z2 in fp2)
-                checks.append((((kU, uPrev, uL), (kV, vPrev, vL)), pairs))
-            levels.append((kind, ruleRead, table, tuple(checks), carry))
-        self.levels = tuple(levels)
+        self.levels = tuple(
+            (kind, ruleRead, p2.ruleCandidates(ruleCoeffs) if ruleCoeffs else None,
+             tuple((((kU, uPrev, uL), (kV, vPrev, vL)), p2.scaledPairs(c0u, c0v))
+                   for kU, uPrev, uL, kV, vPrev, vL, c0u, c0v in entries),
+             carry)
+            for kind, ruleRead, ruleCoeffs, entries, carry in sub.program().levels)
 
     def run(self, psi):
         """Search below one torsion block; True when findOne has its answer."""
@@ -700,9 +704,9 @@ class _Search:
         """Visit a node: above holds the parent's slot values, parent its image."""
         if level > len(self.levels):
             self.stats.leafCandidates += 1
-            for hom in assemble(self.p1, self.p2, self.sub, self.psiRows, self.psiImages,
-                                self.images, self.stats):
-                if self.emit(hom):
+            for rows in assemble(self.p1, self.p2, self.sub, self.psiRows, self.psiImages,
+                                 self.images, self.stats):
+                if self.emit(rows):
                     return True
             return False
         kind, ruleRead, table, checks, carry = self.levels[level - 1]
@@ -744,19 +748,52 @@ class _Search:
                 images.pop()
         return False
 
-    def emit(self, hom):
-        # Of isMorphism's checks only the hexagon heads can fail on a lift:
-        # epsilon is kept, as both epsilons are 2-torsion (free coordinates 0)
-        # and psi(eps1) == eps2 (torsionHoms), and the lift is well-defined,
-        # as each torsion column is one of psi (a homFinite hom) over zeros.
-        # searchMorphisms checked the other shapes an isomorphism needs.
-        pairs = self.p2.pairSet()
-        if (any((hom.apply(x), hom.apply(y)) not in pairs for x, y in self.heads)
-                or self.findIso and not hom.isSurjective()):
-            return False
+    def emit(self, rows):
+        """Keep the lift with these matrix rows when it is a morphism; True
+        when findOne has its answer.
+
+        Of isMorphism's checks only the hexagon heads can fail on a lift:
+        epsilon is kept, as both epsilons are 2-torsion (free coordinates 0)
+        and psi(eps1) == eps2 (torsionHoms), and the lift is well-defined,
+        as each torsion column is one of psi (a homFinite hom) over zeros.
+        searchMorphisms checked the other shapes an isomorphism needs.  The
+        heads are mapped by dot products with the rows, torsion coordinates
+        reduced mod their invariant; only a lift that passes becomes a
+        GroupHom, and its rows are already canonical.
+        """
+        mods, pairs = self.mods, self.pairs
+        for x, y in self.heads:
+            if (tuple([sum(map(mul, row, x)) % m if m else sum(map(mul, row, x))
+                       for row, m in zip(rows, mods)]),
+                    tuple([sum(map(mul, row, y)) % m if m else sum(map(mul, row, y))
+                           for row, m in zip(rows, mods)])) not in pairs:
+                return False
+        found = self.found
+        if found is not None:  # a counting search never restricts to isomorphisms
+            hom = GroupHom(self.p1.group, self.p2.group, IntMatrix(rows, cols=self.p1.group.dim))
+            if self.findIso and not hom.isSurjective():
+                return False
+            if len(found) == MAX_MORPHISMS:
+                raise TooManyMorphisms(
+                    "more than %d morphisms from %s to %s; a listing keeps at most that many"
+                    % (MAX_MORPHISMS, self.p1.name or "the source", self.p2.name or "the target"))
+            found.append(PastureMorphism.fromCanonical(self.p1, self.p2, hom))
         self.stats.valid += 1
-        self.found.append(PastureMorphism(self.p1, self.p2, hom))
         return self.findOne
+
+
+def _search(p1, p2, findOne, findIso, stats, keep):
+    """The kept maps (None when not keeping) of a search with these flags."""
+    sub = sublatticeOf(p1)
+    if findIso and not _sameShape(p1, p2):
+        return []
+    psis = torsionHoms(p1, p2, isoOnly=findIso)
+    stats.torsionHoms = len(psis)
+    search = _Search(p1, p2, sub, findOne, findIso, stats, keep)
+    for psi in psis:
+        if search.run(psi):
+            break
+    return search.found
 
 
 def searchMorphisms(p1, p2, findOne=False, findIso=False, stats=None):
@@ -765,28 +802,28 @@ def searchMorphisms(p1, p2, findOne=False, findIso=False, stats=None):
     For each torsion block psi, a depth-first search picks the image of one
     sublattice generator per level, carrying the values of the sublattice's
     SlotProgram down the tree.  Rule candidates come from the target's
-    partner table and t1 and t2 lookups built once per search.  Type-four
-    entries are checked in order and stop at the first that fails; each
-    costs a multiply-add per coordinate and half and one set lookup.  A
-    leaf's lifts are kept when they send each source hexagon head to a
-    fundamental pair; the rest of isMorphism holds by construction.
+    partner table and its t1 and t2 tables (Pasture.ruleCandidates).
+    Type-four entries are checked in order and stop at the first that fails;
+    each costs a multiply-add per coordinate and half and one lookup in the
+    target's scaled pairs.  A leaf's lifts are kept when they send each
+    source hexagon head to a fundamental pair; the rest of isMorphism holds
+    by construction.
 
     findOne stops at the first valid morphism in search order.  findIso
     restricts to isomorphisms: torsion blocks must be bijective, candidate
     free parts must grow the rank, and assembled maps must be invertible.
-    Raises NotGeneratedByFundamentalElements when the source premise fails.
+    Raises NotGeneratedByFundamentalElements when the source premise fails,
+    and TooManyMorphisms as soon as more than MAX_MORPHISMS are found.
     """
-    if stats is None:
-        stats = SearchStats()
-    sub = sublatticeOf(p1)
-    if findIso and not _sameShape(p1, p2):
-        return []
-    psis = torsionHoms(p1, p2, isoOnly=findIso)
-    stats.torsionHoms = len(psis)
-    search = _Search(p1, p2, sub, findOne, findIso, stats)
-    for psi in psis:
-        if search.run(psi):
-            break
+    found = _search(p1, p2, findOne, findIso, stats or SearchStats(), True)
     # distinct leaves fix distinct images and distinct offsets give distinct
     # lifts, so no map is found twice; findOne stops at its first
-    return sorted(search.found, key=PastureMorphism.sortKey)
+    return sorted(found, key=PastureMorphism.sortKey)
+
+
+def countMorphisms(p1, p2, stats=None):
+    """How many morphisms searchMorphisms(p1, p2) lists, by the same search
+    keeping none of them, so no ceiling applies."""
+    stats = stats or SearchStats()
+    _search(p1, p2, False, False, stats, False)
+    return stats.valid

@@ -11,7 +11,7 @@ fundamental pairs, so no separate nullset data is stored.
 from __future__ import annotations
 
 from .zlattice import GroupPresentation
-from ._gf import FieldError, FiniteField
+from ._gf import MAX_FIELD_ORDER, FieldError, FiniteField
 
 # Pasture elements are canonical coordinate tuples in the unit group; the
 # absorbing zero never appears as a tuple and is passed as None in nullset
@@ -100,7 +100,7 @@ class Pasture:
     """A finitely presented pasture with canonicalized hexagons."""
 
     __slots__ = ("group", "epsilon", "hexagons", "name", "field", "_pairs", "_pairSet",
-                 "_partners", "_sublattice")
+                 "_partners", "_ruleTables", "_scaledPairs", "_sublattice")
 
     def __init__(self, group, epsilon, hexagonHeads, name=None, field=None):
         self.group = group
@@ -119,7 +119,11 @@ class Pasture:
         for x, y in sorted(self._pairs):
             partners.setdefault(x, []).append(y)
         self._partners = {x: tuple(ys) for x, ys in partners.items()}
-        self._sublattice = None  # write-once cache used by the morphism search
+        # the morphism search's tables into this pasture and its sublattice
+        # out of it, each built on first use and then only read
+        self._ruleTables = {}
+        self._scaledPairs = {}
+        self._sublattice = None
 
     def fundamentalPairs(self):
         """All oriented fundamental pairs in deterministic scan order."""
@@ -133,6 +137,37 @@ class Pasture:
 
     def partnersOf(self, x):
         return self._partners.get(self.group.reduce(x), ())
+
+    def ruleCandidates(self, coeffs):
+        """The morphism search's candidate table for a sublattice rule with
+        these coefficients, keyed by the value of the rule's slot.  One
+        coefficient c: c * x -> the partners of every such x, in
+        fundamentalElements order.  Two (c, d): c * x + d * y -> the first
+        member x of every such fundamental pair, in scan order."""
+        table = self._ruleTables.get(coeffs)
+        if table is None:
+            g = self.group
+            table = {}
+            if len(coeffs) == 1:
+                c, = coeffs
+                for x, ys in self._partners.items():
+                    table.setdefault(g.scale(c, x), {}).update(dict.fromkeys(ys))
+            else:
+                c, d = coeffs
+                for x, y in self._pairs:
+                    table.setdefault(g.add(g.scale(c, x), g.scale(d, y)), {})[x] = None
+            table = self._ruleTables[coeffs] = {k: tuple(v) for k, v in table.items()}
+        return table
+
+    def scaledPairs(self, c, d):
+        """The fundamental pairs (x, y) scaled to (c * x, d * y), each
+        flattened into one tuple, as a set."""
+        pairs = self._scaledPairs.get((c, d))
+        if pairs is None:
+            g = self.group
+            pairs = self._scaledPairs[c, d] = frozenset(
+                g.scale(c, x) + g.scale(d, y) for x, y in self._pairs)
+        return pairs
 
     def hexagonTypes(self):
         return tuple(hexagonType(h) for h in self.hexagons)
@@ -169,8 +204,31 @@ class Pasture:
         return "<%s: %r, %d hexagons>" % (label, self.group, len(self.hexagons))
 
 
+# gfPasture's pastures by q, least recently used first.  Nothing changes a
+# Pasture after __init__ but its write-once caches, so each can be shared.
+# The cached orders sum to at most MAX_FIELD_ORDER, about one largest
+# field's worth.
+_fieldPastures = {}
+
+
 def gfPasture(q):
-    """The pasture of GF(q): units Z/(q-1), epsilon = log(-1), field hexagons."""
+    """The pasture of GF(q): units Z/(q-1), epsilon = log(-1), field hexagons.
+
+    Built once per q and kept, with the search tables built into it, until
+    fields used more recently push the sum of cached orders past
+    MAX_FIELD_ORDER.
+    """
+    pasture = _fieldPastures.pop(q, None)
+    if pasture is None:
+        pasture = _buildGfPasture(q)
+        total = pasture.field.q + sum(p.field.q for p in _fieldPastures.values())
+        while total > MAX_FIELD_ORDER:
+            total -= _fieldPastures.pop(next(iter(_fieldPastures))).field.q
+    _fieldPastures[q] = pasture
+    return pasture
+
+
+def _buildGfPasture(q):
     try:
         field = FiniteField(q)
     except FieldError as exc:

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,7 @@ import pytest
 import foundry
 from foundry.cli import run
 from foundry.matroid import matroidToJson, namedMatroid
+from foundry.morphism import MAX_MORPHISMS
 from foundry.pasture import builtinPasture, pastureToJson
 
 
@@ -85,6 +87,50 @@ def test_morphisms_count_and_stats(capsys):
     assert doc["count"] == 18
     assert doc["stats"]["leafCandidates"] <= 36
     assert doc["stats"]["p1"] + doc["stats"]["p2"] + 2 * doc["stats"]["p3"] == 7
+
+
+def test_morphisms_count_keeps_no_maps(capsys, monkeypatch):
+    """--count reads the count off the search counters: it keeps no map, so
+    the listing ceiling does not apply, and prints what a listing counts."""
+    argv = ["morphisms", "--matroid", "example52", "--target", "gf:7", "--stats"]
+    assert run(argv) == 0
+    listing = capsys.readouterr().out.splitlines()
+    assert listing[0] == "morphisms: 4"
+
+    def keep(*args):
+        raise AssertionError("a counting search kept a map")
+    monkeypatch.setattr("foundry.morphism.PastureMorphism.fromCanonical", keep)
+    monkeypatch.setattr("foundry.morphism.MAX_MORPHISMS", 0)
+    assert run(argv + ["--count"]) == 0
+    assert capsys.readouterr().out.splitlines() == ["4", listing[-1]]
+
+
+def test_morphism_ceiling_admits_exactly_its_value(capsys, monkeypatch):
+    # example52 has 4 morphisms into GF(7)
+    argv = ["morphisms", "--matroid", "example52", "--target", "gf:7"]
+    monkeypatch.setattr("foundry.morphism.MAX_MORPHISMS", 4)
+    assert run(argv) == 0
+    assert capsys.readouterr().out.startswith("morphisms: 4\n")
+    monkeypatch.setattr("foundry.morphism.MAX_MORPHISMS", 3)
+    for command in (argv, ["representations", "--matroid", "example52", "--field", "7"]):
+        assert run(command) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: more than 3 morphisms from foundation(example52) "
+                                "to gf:7; a listing keeps at most that many\n")
+
+
+def test_listing_past_the_morphism_ceiling_is_refused_within_seconds(capsys):
+    """uniform(2,5) has about 4.3e9 morphisms into GF(65521); the listing
+    stops at the ceiling (about 3 s on one core) instead of growing for
+    minutes."""
+    start = time.perf_counter()
+    assert run(["morphisms", "--matroid", "uniform(2,5)", "--target", "gf:65521"]) == 2
+    assert time.perf_counter() - start < 30
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: more than %d morphisms" % MAX_MORPHISMS)
+    assert captured.err.count("\n") == 1
 
 
 def test_morphisms_matrices_listed(capsys):

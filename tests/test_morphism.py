@@ -10,6 +10,7 @@ from foundry.morphism import (
     NotGeneratedByFundamentalElements,
     PastureMorphism,
     SearchStats,
+    countMorphisms,
     fullRankSublattice,
     isIsomorphism,
     isMorphism,
@@ -251,6 +252,18 @@ def test_search_counters_frozen(name, q, count, searchCounts, sublatticeCounts):
         assert (d["torsionHoms"], d["leafCandidates"], d["assembled"], d["valid"]) == searchCounts
     c = sublatticeOf(p).counts
     assert (c["p1"], c["p2"], c["p3"], c["p4"]) == sublatticeCounts
+
+
+@pytest.mark.parametrize("name", ["example52", "fano", "nonfano", "pappus", "ag23",
+                                  "uniform(2,5)"])
+def test_count_matches_the_listing(name):
+    """countMorphisms runs the listing's search, counters and all."""
+    p = computeFoundation(namedMatroid(name)).foundation
+    for target in [gfPasture(q) for q in (2, 3, 4, 5, 7, 8, 9)] + [builtinPasture("sign")]:
+        listed, counted = SearchStats(), SearchStats()
+        ms = searchMorphisms(p, target, stats=listed)
+        assert countMorphisms(p, target, stats=counted) == len(ms), (name, target)
+        assert counted.asDict() == listed.asDict(), (name, target)
 
 
 def test_trivial_source_cases():

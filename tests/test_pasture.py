@@ -5,9 +5,11 @@ import pytest
 from sympy import factorint, primitive_root
 
 from foundry import _gf
+from foundry import pasture as pastureModule
 from foundry._gf import MAX_FIELD_ORDER, FieldError, FiniteField
 from foundry.foundation import computeFoundation
 from foundry.matroid import _NAMED_NONBASES, namedMatroid
+from foundry.morphism import searchMorphisms
 from foundry.pasture import (
     Hexagon,
     InvalidPastureError,
@@ -211,6 +213,75 @@ def test_pair_tables_match_their_definitions():
             assert p.partnersOf(tuple(a + b for a, b in zip(x, shift))) == expected, (p, x)
             checked += 1
     assert checked > 2000
+
+
+def test_search_tables_match_their_definitions():
+    """The morphism search's target tables, against their definitions: a
+    one-coefficient rule table sends c * x to the partners of every such x,
+    a two-coefficient one sends c * x + d * y to the first member of every
+    such pair, each in the pasture's own order; scaled pairs are
+    (c * x, d * y) flattened.  Each table is built once."""
+    for p in roster()[:40]:
+        g = p.group
+        for c, d in ((1, 1), (2, 1), (1, -1), (3, 2)):
+            one = {}
+            for x in p.fundamentalElements():
+                for y in p.partnersOf(x):
+                    if y not in one.setdefault(g.scale(c, x), []):
+                        one[g.scale(c, x)].append(y)
+            assert p.ruleCandidates((c,)) == {k: tuple(v) for k, v in one.items()}, p
+            two = {}
+            for x, y in p.fundamentalPairs():
+                key = g.add(g.scale(c, x), g.scale(d, y))
+                if x not in two.setdefault(key, []):
+                    two[key].append(x)
+            assert p.ruleCandidates((c, d)) == {k: tuple(v) for k, v in two.items()}, p
+            assert p.scaledPairs(c, d) == {g.scale(c, x) + g.scale(d, y)
+                                          for x, y in p.fundamentalPairs()}, p
+            assert p.ruleCandidates((c, d)) is p.ruleCandidates((c, d))
+            assert p.scaledPairs(c, d) is p.scaledPairs(c, d)
+
+
+def test_gf_pasture_is_built_once():
+    assert gfPasture(13) is gfPasture(13)
+    assert gfPasture(2) is gfPasture(2)
+
+
+def test_field_cache_evicts_the_least_recently_used_fields(monkeypatch):
+    """With the ceiling lowered to 20, the cached orders never sum past it,
+    and the fields used longest ago leave first."""
+    monkeypatch.setattr(pastureModule, "MAX_FIELD_ORDER", 20)
+    monkeypatch.setattr(pastureModule, "_fieldPastures", {})
+    eight = gfPasture(8)
+    for q, kept in ((7, [8, 7]), (9, [7, 9]), (7, [9, 7]), (11, [7, 11]), (19, [19]),
+                    (2, [2]), (8, [2, 8]), (9, [2, 8, 9]), (3, [8, 9, 3])):
+        gfPasture(q)
+        cache = pastureModule._fieldPastures
+        assert list(cache) == kept, q
+        assert sum(p.field.q for p in cache.values()) <= 20
+    assert gfPasture(8) is not eight  # evicted by 19 and built again
+
+
+def test_searches_leave_a_cached_field_as_a_fresh_one():
+    """Searches into a cached field and out of it change none of its data,
+    and give the maps that a freshly built pasture of the field gives."""
+    field = gfPasture(9)
+    partners = {x: field.partnersOf(x) for x in field.fundamentalElements()}
+    before = (hash(field), field.fundamentalPairs(), partners)
+    fresh = Pasture(field.group, field.epsilon, [h.pairs[0] for h in field.hexagons],
+                    field=field.field)
+    sources = [computeFoundation(namedMatroid(name)).foundation
+               for name in ("example52", "pappus", "nonfano", "ag23")]
+    sources += [builtinPasture(name) for name in ("P0", "f1pm", "F3", "U")]
+    for _ in range(2):
+        for source in sources:
+            keys = [m.sortKey() for m in searchMorphisms(source, field)]
+            assert keys == [m.sortKey() for m in searchMorphisms(source, fresh)], source
+        assert len(searchMorphisms(field, gfPasture(81))) == 2
+        assert len(searchMorphisms(field, field, findIso=True)) == 2
+    partners = {x: field.partnersOf(x) for x in field.fundamentalElements()}
+    assert (hash(field), field.fundamentalPairs(), partners) == before
+    assert field == fresh and gfPasture(9) is field
 
 
 def test_partner_symmetry_and_pairs():

@@ -22,6 +22,7 @@ from foundry.foundation import computeFoundation
 from foundry.matroid import namedMatroid
 from foundry.morphism import PastureMorphism, SearchStats, isMorphism, searchMorphisms
 from foundry.pasture import builtinPasture, gfPasture
+from foundry.zlattice import GroupHom, IntMatrix
 
 FROZEN = json.loads((Path(__file__).parent / "data" / "search_frozen.json").read_text())
 
@@ -41,14 +42,16 @@ def sourceOf(name):
 
 @pytest.fixture
 def assembled(monkeypatch):
-    """Every lift the search assembles, recorded by wrapping assemble."""
+    """Every lift the search assembles, recorded as a GroupHom by wrapping
+    assemble, which returns each lift's matrix rows."""
     lifts = []
     original = foundry.morphism.assemble
 
-    def recordingAssemble(*args):
-        homs = original(*args)
-        lifts.extend(homs)
-        return homs
+    def recordingAssemble(p1, p2, *args):
+        lifted = original(p1, p2, *args)
+        lifts.extend(GroupHom(p1.group, p2.group, IntMatrix(rows, cols=p1.group.dim))
+                     for rows in lifted)
+        return lifted
 
     monkeypatch.setattr(foundry.morphism, "assemble", recordingAssemble)
     return lifts

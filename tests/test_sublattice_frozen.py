@@ -8,9 +8,10 @@ as JSON, or "not generated" when the construction refused the source.
 
 Cases: every catalogue foundation and its dual ("name*"), the uniform
 foundations of the benchmark ladder together with U(3,8) and U(5,8), the
-builtin pastures with free rank, and seeded random pastures ("random:i",
+builtin pastures with free rank, seeded random pastures ("random:i",
 their data stored in the case) that exercise the type-2 rule the matroid
-foundations never pick.
+foundations never pick, and the large non-uniform foundations of U(3,8),
+U(4,8) and U(4,9) with their first basis removed ("minus-basis:name").
 """
 
 import hashlib
@@ -20,7 +21,7 @@ from pathlib import Path
 import pytest
 
 from foundry.foundation import computeFoundation
-from foundry.matroid import namedMatroid
+from foundry.matroid import Matroid, namedMatroid
 from foundry.morphism import NotGeneratedByFundamentalElements, fullRankSublattice
 from foundry.pasture import builtinPasture, pastureFromJson
 
@@ -32,6 +33,9 @@ def sourceOf(case, doc):
         return pastureFromJson(doc["pasture"])
     if case.startswith("builtin:"):
         return builtinPasture(case[len("builtin:"):])
+    if case.startswith("minus-basis:"):
+        m = namedMatroid(case[len("minus-basis:"):])
+        return computeFoundation(Matroid.fromBases(m.n, m.bases[1:])).foundation
     m = namedMatroid(case.rstrip("*"))
     return computeFoundation(m.dual() if case.endswith("*") else m).foundation
 

@@ -131,7 +131,8 @@ def isIsomorphism(f):
 class _Row:
     """One echelon row over the generator free parts, kept pairwise clean:
     every row is zero at every other row's pivot column.  combo expresses
-    the row as an integer combination of the generators at insertion time."""
+    the row as an integer combination of the generators, sparse
+    ({generator index: nonzero coefficient})."""
 
     __slots__ = ("vec", "combo", "pivot")
 
@@ -141,24 +142,56 @@ class _Row:
         self.pivot = next(i for i, x in enumerate(vec) if x)
 
 
-class _Record:
-    """One fundamental element's free residual against the echelon rows.
+class _Direction:
+    """A free direction: the fundamental elements whose free parts are
+    +-f, sharing one residual against the echelon rows.
 
-    res is sparse ({column: nonzero entry}), primitive, its first nonzero
-    entry positive and zero at every pivot column: the direction of the
-    element's free part modulo the span of the generators.  It is None once
-    the element is dependent.  dependency holds the element's (c0, coeffs,
-    witness), computed when first read after it became dependent; see
-    fullRankSublattice.
+    terms are the nonzero (column, entry) of f.  res is sparse ({column:
+    nonzero entry}), primitive, its first nonzero entry positive and zero at
+    every pivot column: the direction of f modulo the span of the
+    generators.  It is None once the direction is dependent, and then so is
+    every member.  pairs are the indices of the pairs with a member in it,
+    firsts those whose first member is in it.  dependency holds
+    (c0, coeffs, torsion) for f, computed when first read after the
+    direction became dependent (see fullRankSublattice), and padded holds
+    (level, coeffs, -coeffs), both padded to the level that last read them.
     """
 
-    __slots__ = ("element", "res", "dependency")
+    __slots__ = ("terms", "res", "pairs", "firsts", "dependency", "padded")
 
-    def __init__(self, element, freePart):
-        self.element = element
-        res = {k: x for k, x in enumerate(freePart) if x}
-        self.res = _primitive(res) if res else None
+    def __init__(self, free):
+        self.terms = [(k, x) for k, x in enumerate(free) if x]
+        self.res = _primitive(dict(self.terms)) if self.terms else None
+        self.pairs = []
+        self.firsts = []
         self.dependency = None
+        self.padded = None
+
+
+class _Record:
+    """One fundamental element: its direction, the sign of its free part
+    against the direction's, and its witness once read."""
+
+    __slots__ = ("element", "direction", "sign", "witness")
+
+    def __init__(self, element, direction, sign):
+        self.element = element
+        self.direction = direction
+        self.sign = sign
+        self.witness = None
+
+
+def _combination(p, x, a, y):
+    """The sparse vector p * x - a * y, for sparse x ({index: nonzero}) and
+    y given by its nonzero (index, entry) items, with a != 0."""
+    out = {k: p * v for k, v in x.items()} if p != 1 else dict(x)
+    for k, v in y:
+        w = out.get(k, 0) - a * v
+        if w:
+            out[k] = w
+        else:
+            del out[k]
+    return out
 
 
 def _primitive(res):
@@ -177,7 +210,9 @@ class SlotProgram:
     entry is a torsion constant tau plus an integer combination of the
     images y_1..y_r; each of them is a slot.  Slots are ordered by the level
     that reads them, deepest level first, so the slots still live after
-    level l are a prefix of those live before it.
+    level l are a prefix of those live before it.  The slots are counted
+    per read level once, and each level slices its carry off that prefix
+    and reads its own slots directly, with no scan of the other slots.
 
     A node at level l holds its parent's slot values, which include
     y_1..y_(l-2), and its parent's image y_(l-1).  Its reads add the
@@ -202,8 +237,9 @@ class SlotProgram:
 
     def __init__(self, sub):
         r = len(sub.rules)
-        slots = []  # (tau, coefficients on y_1..y_(readLevel - 1), readLevel)
+        slots = []  # (tau, coefficients on y_1..y_(readLevel - 1))
         reads = {}
+        readFrom = {r + 1: 0}  # level -> how many slots are read at it or later
         for level in range(r, 0, -1):
             rule = sub.rules[level - 1]
             ruleSlot, ruleCoeffs = None, ()
@@ -211,7 +247,7 @@ class SlotProgram:
                 tau, coeffs = rule[1], rule[2]
                 ruleSlot = len(slots)
                 ruleCoeffs = coeffs[level - 1:]
-                slots.append((tau, tuple(-c for c in coeffs[:level - 1]), level))
+                slots.append((tau, tuple(-c for c in coeffs[:level - 1])))
             entries = []
             seen = set()
             for entry in sub.typeFourLists[level - 1]:
@@ -222,24 +258,31 @@ class SlotProgram:
                 seen.add(entry)
                 c0u, cu, tauU, c0v, cv, tauV = entry
                 entries.append((len(slots), cu[-1], len(slots) + 1, cv[-1], c0u, c0v))
-                slots.append((tauU, cu[:-1], level))
-                slots.append((tauV, cv[:-1], level))
+                slots.append((tauU, cu[:-1]))
+                slots.append((tauV, cv[:-1]))
             reads[level] = (rule[0], ruleSlot, ruleCoeffs, entries)
-        self.taus = tuple(tau for tau, _, _ in slots)
+            readFrom[level] = len(slots)
+        self.taus = tuple(tau for tau, _ in slots)
+
+        def onParent(k, level):
+            """Slot k's coefficient on y_(level-1)."""
+            return slots[k][1][level - 2] if level > 1 else 0
+
         levels = []
         for level in range(1, r + 1):
             kind, ruleSlot, ruleCoeffs, entries = reads[level]
-            # the slots read at this level or later are a prefix
-            prev = [coeffs[level - 2] if level > 1 else 0
-                    for _, coeffs, readLevel in slots if readLevel >= level]
-            live = sum(1 for _, _, readLevel in slots if readLevel > level)
+            live = readFrom[level + 1]
+            if level > 1:
+                carry = tuple([coeffs[level - 2] for _, coeffs in slots[:live]])
+            else:
+                carry = (0,) * live
             levels.append((
                 kind,
-                None if ruleSlot is None else (ruleSlot, prev[ruleSlot]),
+                None if ruleSlot is None else (ruleSlot, onParent(ruleSlot, level)),
                 ruleCoeffs,
-                tuple((kU, prev[kU], uL, kV, prev[kV], vL, c0u, c0v)
+                tuple((kU, onParent(kU, level), uL, kV, onParent(kV, level), vL, c0u, c0v)
                       for kU, uL, kV, vL, c0u, c0v in entries),
-                tuple(prev[:live]),
+                carry,
             ))
         self.levels = tuple(levels)
 
@@ -314,19 +357,34 @@ def fullRankSublattice(pasture):
     member is added), else the first pair spanning two new directions (type
     3, both members added).
 
-    Each piece of work is done once.  A record keeps only an element's free
-    residual, reduced against each new echelon row.  The jointly primitive
-    dependency (c0, coeffs) with c0 > 0 and the torsion witness
-    c0 * element - sum(coeffs[i] * x_i) are unique, so they are computed from
-    the pairwise-clean rows when first read and then kept.  Type-1 candidates
-    are the pair indices collected as their first members become dependent;
-    pairs become type-four entries when their last member becomes dependent,
-    found through an index from elements to pairs.
+    Each piece of work is done once per free direction.  The elements of a
+    hexagon come in inverse pairs x and -x, whose free parts differ in sign
+    only, so one _Direction per free part up to sign keeps the residual,
+    reduced against each new echelon row; when it empties, every member is
+    dependent.  The jointly primitive dependency (c0, coeffs) with c0 > 0 of
+    an element is unique, so it is computed from the pairwise-clean rows for
+    the direction when first read and then kept; a member whose free part
+    is negated takes (c0, -coeffs).  The witness
+    c0 * element - sum(coeffs[i] * x_i) is torsion: its free part depends on
+    the direction alone and is checked to be zero once, and each member's
+    torsion coordinates are c0 times its own less sign times the direction's
+    sum(coeffs[i] * torsion(x_i)), so an inverse -e has the witness -tau.
+    Type-1 candidates are the pair indices collected as their first members
+    become dependent; pairs become type-four entries when their last member
+    becomes dependent, found through each direction's pair indices, and
+    each direction's coefficients are padded once per level.
+
+    The span check runs on each hexagon's head pair, epsilon and the
+    relation columns: every other fundamental element is -x, -y, e + y - x
+    or e + x - y for a head (x, y) (pasture.closureTriple), so these span
+    the same lattice as all of them.
     """
     group = pasture.group
     r = group.freeRank
-    spanCols = [tuple(x) for x in pasture.fundamentalElements()]
-    spanCols.append(tuple(pasture.epsilon))
+    invariants = group.invariants
+    t = len(invariants)
+    spanCols = [x for h in pasture.hexagons for x in h.pairs[0]]
+    spanCols.append(pasture.epsilon)
     spanCols.extend(group.relationColumns())
     if not spansLattice(IntMatrix.fromColumns(spanCols, dim=group.dim)):
         raise NotGeneratedByFundamentalElements(
@@ -335,169 +393,214 @@ def fullRankSublattice(pasture):
 
     pairs = pasture.fundamentalPairs()
     records = {}
-    pairsOf = {}  # element -> indices of the pairs it belongs to, in scan order
+    directions = {}  # free part -> (direction, sign of the free part against it)
+    allDirections = []
+    pairRecords = []  # the records of each pair's two members
     for k, pair in enumerate(pairs):
-        for e in dict.fromkeys(pair):
-            if e not in records:
-                records[e] = _Record(e, group.freePart(e))
-            pairsOf.setdefault(e, []).append(k)
-    independent = [rec for rec in records.values() if rec.res is not None]
-    bothIndependent = [k for k, (u, v) in enumerate(pairs)
-                       if records[u].res is not None and records[v].res is not None]
+        both = []
+        for e in pair:
+            rec = records.get(e)
+            if rec is None:
+                free = e[t:]
+                found = directions.get(free)
+                if found is None:
+                    d = _Direction(free)
+                    allDirections.append(d)
+                    directions[tuple([-x for x in free])] = (d, -1)
+                    found = directions[free] = (d, 1)
+                rec = records[e] = _Record(e, *found)
+            both.append(rec)
+        ru, rv = both
+        du, dv = ru.direction, rv.direction
+        du.firsts.append(k)
+        du.pairs.append(k)
+        if dv is not du:
+            dv.pairs.append(k)
+        pairRecords.append((ru, rv))
+    independent = [d for d in allDirections if d.res is not None]
+    bothIndependent = [k for k, (ru, rv) in enumerate(pairRecords)
+                       if ru.direction.res is not None and rv.direction.res is not None]
     firstDependent = []  # pairs whose first member is dependent, the second maybe not
-    newlyDependent = []  # elements dependent since the last type-four round
+    newlyDependent = []  # directions dependent since the last type-four round
     rows = {}  # pivot column -> echelon row, in insertion order
     generators = []
-    generatorTerms = []  # the nonzero (coordinate, entry) of each generator
+    generatorTerms = []  # the nonzero (free column, entry) of each generator
     rules = []
     typeFourLists = []
     counts = {"p1": 0, "p2": 0, "p3": 0, "p4": 0}
-    consumed = set()
+    consumed = set()  # the record pairs of the pairs used for rules
+    zeros = (0,) * r
 
-    def becameDependent(e):
-        newlyDependent.append(e)
-        for k in pairsOf[e]:
-            if pairs[k][0] == e:
-                firstDependent.append(k)
+    def becameDependent(d):
+        newlyDependent.append(d)
+        for k in d.firsts:
+            firstDependent.append(k)
 
-    for rec in records.values():
-        if rec.res is None:
-            becameDependent(rec.element)
+    for d in allDirections:
+        if d.res is None:
+            becameDependent(d)
 
     def addGenerator(x):
         generators.append(group.reduce(x))
         level = len(generators)
         vec = list(group.freePart(x))
-        combo = [0] * (level - 1) + [1]
+        combo = {level - 1: 1}
         for row in rows.values():
             a = vec[row.pivot]
             if a:
                 p = row.vec[row.pivot]
                 vec = [p * s - a * t for s, t in zip(vec, row.vec)]
-                rowCombo = list(row.combo) + [0] * (len(combo) - len(row.combo))
-                combo = [p * s - a * t for s, t in zip(combo, rowCombo)]
+                combo = _combination(p, combo, a, row.combo.items())
         if not any(vec):
             raise RuntimeError("sublattice generator does not increase the rank")
-        g = gcd(*vec, *combo)
+        g = gcd(*vec, *combo.values())
         if g > 1:
             vec = [x // g for x in vec]
-            combo = [x // g for x in combo]
+            combo = {k: x // g for k, x in combo.items()}
         pivot = next(i for i, x in enumerate(vec) if x)
         if vec[pivot] < 0:
             vec = [-x for x in vec]
-            combo = [-x for x in combo]
-        new = _Row(vec, tuple(combo))
+            combo = {k: -x for k, x in combo.items()}
+        new = _Row(vec, combo)
         # keep rows pairwise clean: zero the new pivot column in old rows
         for row in rows.values():
             a = row.vec[new.pivot]
             if a:
                 p = new.vec[new.pivot]
                 row.vec = [p * s - a * t for s, t in zip(row.vec, new.vec)]
-                oldCombo = list(row.combo) + [0] * (len(new.combo) - len(row.combo))
-                row.combo = tuple(p * s - a * t for s, t in zip(oldCombo, new.combo))
+                row.combo = _combination(p, row.combo, a, new.combo.items())
         rows[new.pivot] = new
-        generatorTerms.append([(k, x) for k, x in enumerate(generators[-1]) if x])
+        generatorTerms.append([(k, y) for k, y in enumerate(group.freePart(generators[-1])) if y])
         p = vec[pivot]
         terms = [(k, x) for k, x in enumerate(vec) if x]
         still = []
-        for rec in independent:
-            res = rec.res
+        for d in independent:
+            res = d.res
             a = res.get(pivot)
             if a:
-                res = {k: p * x for k, x in res.items()} if p != 1 else dict(res)
-                for k, x in terms:
-                    x = res.get(k, 0) - a * x
-                    if x:
-                        res[k] = x
-                    else:
-                        del res[k]
+                res = _combination(p, res, a, terms)
                 if not res:
-                    rec.res = None
-                    becameDependent(rec.element)
+                    d.res = None
+                    becameDependent(d)
                     continue
-                rec.res = _primitive(res)
-            still.append(rec)
+                d.res = _primitive(res)
+            still.append(d)
         independent[:] = still
 
-    def primitiveTriple(e):
+    def dense(c0, terms):
+        """c0 times the free part with these nonzero terms, as a list."""
+        vec = [0] * r
+        for k, x in terms:
+            vec[k] = c0 * x
+        return vec
+
+    def primitiveTriple(terms, withRes):
         """The jointly primitive (c0, coeffs, res) with c0 > 0 and
-        res == c0 * freePart(e) - sum(coeffs[i] * freePart(x_i)) zero at every
-        pivot column; unique, because the rows are pairwise clean.  res is
-        left empty for a dependent element, where it is zero."""
-        f = group.freePart(e)
-        hits = [(rows[k], a) for k, a in enumerate(f) if a and k in rows]
+        res == c0 * f - sum(coeffs[i] * freePart(x_i)) zero at every pivot
+        column, for the free part f with these nonzero terms; unique,
+        because the rows are pairwise clean.  coeffs is sparse ({i: nonzero
+        coeffs[i]}); res is left empty unless asked for (it is zero for a
+        dependent direction)."""
+        hits = [(rows[k], a) for k, a in terms if k in rows]
         c0 = 1
         for row, a in hits:
             p = row.vec[row.pivot]
             c0 = lcm(c0, p // gcd(p, a))
-        coeffs = [0] * len(generators)
-        res = [c0 * x for x in f] if records[e].res is not None else []
+        coeffs = {}
+        res = dense(c0, terms) if withRes else []
         for row, a in hits:
             q = c0 * a // row.vec[row.pivot]
-            for i, c in enumerate(row.combo):
-                coeffs[i] += q * c
+            coeffs = _combination(1, coeffs, -q, row.combo.items())
             if res:
                 res = [s - q * t for s, t in zip(res, row.vec)]
-        g = gcd(c0, *coeffs, *res)
-        return c0 // g, tuple([c // g for c in coeffs]), [x // g for x in res]
+        g = gcd(c0, *coeffs.values(), *res)
+        if g > 1:
+            coeffs = {i: c // g for i, c in coeffs.items()}
+        return c0 // g, coeffs, [x // g for x in res]
 
-    def witness(c0, element, coeffs, what):
-        """The torsion element c0 * element - sum(coeffs[i] * x_i)."""
-        total = [c0 * x for x in element]
-        for c, terms in zip(coeffs, generatorTerms):
-            if c:
-                for k, x in terms:
-                    total[k] -= c * x
-        total = group.reduce(total)
-        if any(group.freePart(total)):
+    def levelCoeffs(coeffs):
+        """Sparse coefficients as a tuple over the generators so far."""
+        full = [0] * len(generators)
+        for i, c in coeffs.items():
+            full[i] = c
+        return tuple(full)
+
+    def torsionSum(c0, terms, coeffs, what):
+        """sum(coeffs[i] * x_i) on the torsion coordinates, once
+        c0 * f - sum(coeffs[i] * freePart(x_i)), the free part of every
+        witness with these data (f the free part with these nonzero terms,
+        coeffs sparse), is checked to be zero."""
+        free = dense(c0, terms)
+        torsion = [0] * t
+        for i, c in coeffs.items():
+            for k, y in generatorTerms[i]:
+                free[k] -= c * y
+            torsion = [s + c * y for s, y in zip(torsion, generators[i])]
+        if any(free):
             raise RuntimeError("%s witness has a nonzero free part" % what)
-        return total
+        return torsion
 
-    def dependency(e, level):
+    def witness(c0, element, sign, torsion):
+        """The torsion element c0 * element - sign * torsion."""
+        return tuple([(c0 * x - sign * s) % a
+                      for x, s, a in zip(element, torsion, invariants)]) + zeros
+
+    def dependency(rec, level):
         """(c0, coeffs padded to level, witness) of a dependent element."""
-        rec = records[e]
-        if rec.dependency is None:
-            c0, coeffs, _ = primitiveTriple(e)
-            rec.dependency = (c0, coeffs, witness(c0, e, coeffs, "type-four"))
-        c0, coeffs, tau = rec.dependency
-        return c0, coeffs + (0,) * (level - len(coeffs)), tau
+        d = rec.direction
+        if d.dependency is None:
+            c0, coeffs, _ = primitiveTriple(d.terms, False)
+            d.dependency = (c0, levelCoeffs(coeffs), torsionSum(c0, d.terms, coeffs, "type-four"))
+        c0, coeffs, torsion = d.dependency
+        if rec.witness is None:
+            rec.witness = witness(c0, rec.element, rec.sign, torsion)
+        padded = d.padded
+        if padded is None or padded[0] != level:
+            plus = coeffs + (0,) * (level - len(coeffs))
+            padded = d.padded = (level, plus, tuple([-c for c in plus]))
+        return c0, padded[1] if rec.sign > 0 else padded[2], rec.witness
 
     def recordNewTypeFour():
         level = len(generators)
-        touched = sorted({k for e in newlyDependent for k in pairsOf[e]})
+        touched = sorted({k for d in newlyDependent for k in d.pairs})
         newlyDependent.clear()
         bucket = []
         for k in touched:
-            u, v = pair = pairs[k]
-            if pair in consumed or records[u].res is not None or records[v].res is not None:
+            ru, rv = both = pairRecords[k]
+            if (ru.direction.res is not None or rv.direction.res is not None
+                    or both in consumed):
                 continue
-            bucket.append(dependency(u, level) + dependency(v, level))
+            bucket.append(dependency(ru, level) + dependency(rv, level))
         counts["p4"] += len(bucket)
         typeFourLists.append(bucket)
 
-    def consume(pair):
-        consumed.add(pair)
-        consumed.add(pair[::-1])
+    def consume(k):
+        ru, rv = pairRecords[k]
+        consumed.add((ru, rv))
+        consumed.add((rv, ru))
 
     while len(generators) < r:
         t1 = t2 = t3 = None
         # a pair whose members are both dependent is never type 1 again
-        firstDependent = [k for k in firstDependent if records[pairs[k][1]].res is not None]
+        firstDependent = [k for k in firstDependent if pairRecords[k][1].direction.res is not None]
         if firstDependent:
-            t1 = pairs[min(firstDependent)]
+            t1 = min(firstDependent)
         else:
-            bothIndependent = [k for k in bothIndependent if records[pairs[k][0]].res is not None
-                               and records[pairs[k][1]].res is not None]
+            bothIndependent = [k for k in bothIndependent
+                               if pairRecords[k][0].direction.res is not None
+                               and pairRecords[k][1].direction.res is not None]
             for k in bothIndependent:
-                u, v = pairs[k]
-                if records[u].res == records[v].res:
-                    t2 = pairs[k]
+                ru, rv = pairRecords[k]
+                # the residuals, not the directions: two directions may differ
+                # by a factor, as f and 2f do
+                if ru.direction.res == rv.direction.res:
+                    t2 = k
                     break  # no type-1 pair exists, so the first type-2 pair is final
                 if t3 is None:
-                    t3 = pairs[k]
+                    t3 = k
         if t1 is not None:
-            u, v = t1
-            c0, coeffs, tau = dependency(u, len(generators))
+            u, v = pairs[t1]
+            c0, coeffs, tau = dependency(pairRecords[t1][0], len(generators))
             addGenerator(v)
             ruleCoeffs = tuple(-c for c in coeffs) + (c0,)
             lead = next(c for c in ruleCoeffs if c)
@@ -509,9 +612,12 @@ def fullRankSublattice(pasture):
             counts["p1"] += 1
             recordNewTypeFour()
         elif t2 is not None:
-            u, v = t2
-            cu0, lu, resU = primitiveTriple(u)
-            cv0, lv, resV = primitiveTriple(v)
+            u, v = pairs[t2]
+            termsU, termsV = ([(k, x) for k, x in enumerate(group.freePart(e)) if x]
+                              for e in (u, v))
+            cu0, lu, resU = primitiveTriple(termsU, True)
+            cv0, lv, resV = primitiveTriple(termsV, True)
+            lu, lv = levelCoeffs(lu), levelCoeffs(lv)
             # primitive (alpha, beta) with alpha * res_u == beta * res_v
             gu, gv = gcd(*resU), gcd(*resV)
             su = 1 if next(x for x in resU if x) > 0 else -1
@@ -527,13 +633,14 @@ def fullRankSublattice(pasture):
             lead = next(c for c in ruleCoeffs if c)
             if lead < 0:
                 ruleCoeffs = tuple(-c for c in ruleCoeffs)
-            tau = witness(ruleCoeffs[-1], v, [-c for c in ruleCoeffs[:-1]], "type-2 rule")
+            c0, coeffs = ruleCoeffs[-1], {i: -c for i, c in enumerate(ruleCoeffs[:-1]) if c}
+            tau = witness(c0, v, 1, torsionSum(c0, termsV, coeffs, "type-2 rule"))
             rules.append(("t2", tau, ruleCoeffs))
             consume(t2)
             counts["p2"] += 1
             recordNewTypeFour()
         elif t3 is not None:
-            u, v = t3
+            u, v = pairs[t3]
             addGenerator(u)
             rules.append(("t3first",))
             consume(t3)

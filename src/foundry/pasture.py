@@ -27,13 +27,15 @@ def closureTriple(group, epsilon, x, y):
     """The three fundamental pairs derived from x + y = 1.
 
     Multiplying the relation x + y - 1 by -1/x and -1/y gives the partners
-    of 1/x and 1/y; additively: (-x, e + y - x) and (-y, e + x - y).
+    of 1/x and 1/y; additively: (-x, e + y - x) and (-y, e + x - y).  With
+    w = e + y - x the last partner is -w, because 2e = 0 (epsilon is
+    reduced 2-torsion), so the closure is (x, y), (-x, w), (-y, -w): one
+    reduce per element.
     """
     x = group.reduce(x)
     y = group.reduce(y)
-    second = (group.neg(x), group.reduce(tuple(e + b - a for e, a, b in zip(epsilon, x, y))))
-    third = (group.neg(y), group.reduce(tuple(e + a - b for e, a, b in zip(epsilon, x, y))))
-    return (x, y), second, third
+    w = group.reduce([e + b - a for e, a, b in zip(epsilon, x, y)])
+    return (x, y), (group.neg(x), w), (group.neg(y), group.neg(w))
 
 
 class Hexagon:
@@ -206,24 +208,35 @@ class Pasture:
 
 # gfPasture's pastures by q, least recently used first.  Nothing changes a
 # Pasture after __init__ but its write-once caches, so each can be shared.
-# The cached orders sum to at most MAX_FIELD_ORDER, about one largest
-# field's worth.
+# The cached fields weigh at most MAX_FIELD_ORDER in all (see _weight), about
+# one largest field's worth.
 _fieldPastures = {}
+
+
+def _weight(pasture):
+    """A cached field's size in units of q: its own tables and each of the
+    search tables built into it, all of which hold about q entries."""
+    return pasture.field.q * (1 + len(pasture._ruleTables) + len(pasture._scaledPairs))
 
 
 def gfPasture(q):
     """The pasture of GF(q): units Z/(q-1), epsilon = log(-1), field hexagons.
 
-    Built once per q and kept, with the search tables built into it, until
-    fields used more recently push the sum of cached orders past
-    MAX_FIELD_ORDER.
+    Built once per q and kept, with the search tables built into it.  Each
+    call evicts the fields used least recently until the cached weights sum
+    to at most MAX_FIELD_ORDER; the field returned stays, and if it alone
+    weighs more, its search tables are dropped (a search already running
+    keeps the tables it looked up).
     """
     pasture = _fieldPastures.pop(q, None)
     if pasture is None:
         pasture = _buildGfPasture(q)
-        total = pasture.field.q + sum(p.field.q for p in _fieldPastures.values())
-        while total > MAX_FIELD_ORDER:
-            total -= _fieldPastures.pop(next(iter(_fieldPastures))).field.q
+    total = _weight(pasture) + sum(_weight(p) for p in _fieldPastures.values())
+    while _fieldPastures and total > MAX_FIELD_ORDER:
+        total -= _weight(_fieldPastures.pop(next(iter(_fieldPastures))))
+    if total > MAX_FIELD_ORDER:
+        pasture._ruleTables.clear()
+        pasture._scaledPairs.clear()
     _fieldPastures[q] = pasture
     return pasture
 

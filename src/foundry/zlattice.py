@@ -373,10 +373,10 @@ class GroupPresentation:
         return self.reduce(total)
 
     def neg(self, vec):
-        return self.reduce(tuple(-x for x in vec))
+        return self.reduce([-x for x in vec])
 
     def scale(self, k, vec):
-        return self.reduce(tuple(k * x for x in vec))
+        return self.reduce([k * x for x in vec])
 
     def isZero(self, vec):
         return self.reduce(vec) == self.zero()

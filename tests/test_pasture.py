@@ -194,6 +194,22 @@ def test_hexagon_closure_matches_the_two_closure_definition():
     assert checked > 2000
 
 
+def test_closure_triple_matches_its_definition():
+    """(x, y), (-x, e + y - x), (-y, e + x - y), each reduced, for every
+    oriented pair of the roster given with unreduced coordinates."""
+    checked = 0
+    for p in roster():
+        g, e = p.group, p.epsilon
+        shift = tuple(g.invariants) + (0,) * g.freeRank
+        for x, y in p.fundamentalPairs():
+            expected = ((x, y), (g.neg(x), g.add(e, y, g.neg(x))),
+                        (g.neg(y), g.add(e, x, g.neg(y))))
+            unreduced = tuple(a + b for a, b in zip(x, shift))
+            assert closureTriple(g, e, unreduced, y) == expected, (p, x, y)
+            checked += 1
+    assert checked > 2000
+
+
 def test_pair_tables_match_their_definitions():
     """The pair tables a pasture builds once, against the definitions they
     replace: pairs in first-seen order over the hexagons, elements the sorted
@@ -260,6 +276,36 @@ def test_field_cache_evicts_the_least_recently_used_fields(monkeypatch):
         assert list(cache) == kept, q
         assert sum(p.field.q for p in cache.values()) <= 20
     assert gfPasture(8) is not eight  # evicted by 19 and built again
+
+
+def test_field_cache_counts_the_search_tables_of_each_field(monkeypatch):
+    """A cached field weighs q for itself and q more for each rule table and
+    scaled pair set built into it.  With the ceiling lowered to 30 the
+    weights never sum past it; a field that alone weighs more stays, without
+    its tables, and a table looked up before that is left intact."""
+    monkeypatch.setattr(pastureModule, "MAX_FIELD_ORDER", 30)
+    monkeypatch.setattr(pastureModule, "_fieldPastures", {})
+
+    def weights():
+        return {q: p.field.q * (1 + len(p._ruleTables) + len(p._scaledPairs))
+                for q, p in pastureModule._fieldPastures.items()}
+
+    seven = gfPasture(7)
+    seven.ruleCandidates((1,))
+    seven.scaledPairs(1, 1)
+    gfPasture(8).ruleCandidates((2, 1))
+    assert weights() == {7: 21, 8: 16}  # tables built after the last call
+    gfPasture(9)
+    assert weights() == {8: 16, 9: 9}  # 7 and its two tables evicted first
+    eleven = gfPasture(11)
+    assert weights() == {9: 9, 11: 11}
+    table = eleven.ruleCandidates((1,))
+    expected = dict(table)
+    eleven.scaledPairs(1, 1)
+    assert gfPasture(11) is eleven
+    assert weights() == {11: 11}  # 9 evicted, then 11's tables (33 in all) dropped
+    assert table == expected and eleven.ruleCandidates((1,)) == expected
+    assert gfPasture(7) is not seven
 
 
 def test_searches_leave_a_cached_field_as_a_fresh_one():

@@ -2,7 +2,8 @@
 
 Exit codes: 0 on success, 2 for domain errors (invalid matroid or pasture
 data, unknown names, sources not generated by fundamental elements, a
-listing of more than MAX_MORPHISMS morphisms) and for a computed matrix
+listing of more than MAX_MORPHISMS morphisms, torsion parts with more than
+MAX_TORSION_HOMS homomorphisms between them) and for a computed matrix
 that fails its matroid check, 1 for input and usage errors (unreadable
 files, malformed JSON, bad flags) and when the reader of standard output
 closes it early.
@@ -22,6 +23,7 @@ from .morphism import (
     NotGeneratedByFundamentalElements,
     SearchStats,
     TooManyMorphisms,
+    TooManyTorsionHoms,
     countMorphisms,
     searchMorphisms,
     sublatticeOf,
@@ -35,7 +37,7 @@ from .representation import (
 )
 
 _DOMAIN_ERRORS = (InvalidMatroidError, InvalidPastureError, FieldError,
-                  NotGeneratedByFundamentalElements, TooManyMorphisms)
+                  NotGeneratedByFundamentalElements, TooManyMorphisms, TooManyTorsionHoms)
 
 _BUILTIN_NAMES = ("sign", "krasner", "f1pm", "U", "D", "H", "F3", "P0")
 

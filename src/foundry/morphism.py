@@ -24,7 +24,7 @@ A listing keeps at most MAX_MORPHISMS maps; countMorphisms keeps none.
 
 from __future__ import annotations
 
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from operator import mul
 
 from .zlattice import (
@@ -43,6 +43,11 @@ from .zlattice import (
 # still ask for billions of maps, each a few hundred bytes.
 MAX_MORPHISMS = 20_000
 
+# The most torsion-block homs a search lists.  Their count is the product of
+# gcd(a_j, b_i) over the two torsion parts' invariants, so Z/10^9 has 10^9
+# endomorphisms; gf:65521's unit group Z/65520 has 65,520.
+MAX_TORSION_HOMS = 2 ** 16
+
 
 class NotGeneratedByFundamentalElements(ValueError):
     """The source units are not generated by fundamental elements and epsilon."""
@@ -50,6 +55,10 @@ class NotGeneratedByFundamentalElements(ValueError):
 
 class TooManyMorphisms(ValueError):
     """A listing would keep more than MAX_MORPHISMS morphisms."""
+
+
+class TooManyTorsionHoms(ValueError):
+    """The torsion parts have more than MAX_TORSION_HOMS homomorphisms."""
 
 
 class PastureMorphism:
@@ -129,17 +138,18 @@ def isIsomorphism(f):
 
 
 class _Row:
-    """One echelon row over the generator free parts, kept pairwise clean:
-    every row is zero at every other row's pivot column.  combo expresses
-    the row as an integer combination of the generators, sparse
-    ({generator index: nonzero coefficient})."""
+    """One echelon row over the generator free parts, sparse ({free column:
+    nonzero entry}) and kept pairwise clean: every row is zero at every other
+    row's pivot column, its first nonzero one.  combo expresses the row as an
+    integer combination of the generators ({generator index: nonzero
+    coefficient})."""
 
     __slots__ = ("vec", "combo", "pivot")
 
     def __init__(self, vec, combo):
         self.vec = vec
         self.combo = combo
-        self.pivot = next(i for i, x in enumerate(vec) if x)
+        self.pivot = min(vec)
 
 
 class _Direction:
@@ -209,10 +219,10 @@ class SlotProgram:
     Every t1/t2 rule target and both halves (yU, yV) of every type-four
     entry is a torsion constant tau plus an integer combination of the
     images y_1..y_r; each of them is a slot.  Slots are ordered by the level
-    that reads them, deepest level first, so the slots still live after
-    level l are a prefix of those live before it.  The slots are counted
-    per read level once, and each level slices its carry off that prefix
-    and reads its own slots directly, with no scan of the other slots.
+    that reads them, deepest level first, and built in one pass over levels
+    r..1: the slots made before level l are exactly those read after it, so
+    the level's carry and its reads' coefficients on y_(l-1) are taken off
+    them before its own slots are appended.
 
     A node at level l holds its parent's slot values, which include
     y_1..y_(l-2), and its parent's image y_(l-1).  Its reads add the
@@ -236,18 +246,17 @@ class SlotProgram:
     __slots__ = ("taus", "levels")
 
     def __init__(self, sub):
-        r = len(sub.rules)
-        slots = []  # (tau, coefficients on y_1..y_(readLevel - 1))
-        reads = {}
-        readFrom = {r + 1: 0}  # level -> how many slots are read at it or later
-        for level in range(r, 0, -1):
+        taus = []
+        onY = []  # per slot, its coefficients on y_0 = 0, y_1, .., y_(readLevel - 1)
+        levels = []
+        for level in range(len(sub.rules), 0, -1):
+            carry = tuple([coeffs[level - 1] for coeffs in onY])
             rule = sub.rules[level - 1]
-            ruleSlot, ruleCoeffs = None, ()
+            ruleRead, ruleCoeffs = None, ()
             if rule[0] in ("t1", "t2"):
-                tau, coeffs = rule[1], rule[2]
-                ruleSlot = len(slots)
-                ruleCoeffs = coeffs[level - 1:]
-                slots.append((tau, tuple(-c for c in coeffs[:level - 1])))
+                taus.append(rule[1])
+                onY.append((0,) + tuple(-c for c in rule[2][:level - 1]))
+                ruleRead, ruleCoeffs = (len(onY) - 1, onY[-1][level - 1]), rule[2][level - 1:]
             entries = []
             seen = set()
             for entry in sub.typeFourLists[level - 1]:
@@ -257,34 +266,13 @@ class SlotProgram:
                     continue
                 seen.add(entry)
                 c0u, cu, tauU, c0v, cv, tauV = entry
-                entries.append((len(slots), cu[-1], len(slots) + 1, cv[-1], c0u, c0v))
-                slots.append((tauU, cu[:-1]))
-                slots.append((tauV, cv[:-1]))
-            reads[level] = (rule[0], ruleSlot, ruleCoeffs, entries)
-            readFrom[level] = len(slots)
-        self.taus = tuple(tau for tau, _ in slots)
-
-        def onParent(k, level):
-            """Slot k's coefficient on y_(level-1)."""
-            return slots[k][1][level - 2] if level > 1 else 0
-
-        levels = []
-        for level in range(1, r + 1):
-            kind, ruleSlot, ruleCoeffs, entries = reads[level]
-            live = readFrom[level + 1]
-            if level > 1:
-                carry = tuple([coeffs[level - 2] for _, coeffs in slots[:live]])
-            else:
-                carry = (0,) * live
-            levels.append((
-                kind,
-                None if ruleSlot is None else (ruleSlot, onParent(ruleSlot, level)),
-                ruleCoeffs,
-                tuple((kU, onParent(kU, level), uL, kV, onParent(kV, level), vL, c0u, c0v)
-                      for kU, uL, kV, vL, c0u, c0v in entries),
-                carry,
-            ))
-        self.levels = tuple(levels)
+                taus += (tauU, tauV)
+                onY += ((0,) + cu[:-1], (0,) + cv[:-1])
+                entries.append((len(onY) - 2, onY[-2][level - 1], cu[-1],
+                                len(onY) - 1, onY[-1][level - 1], cv[-1], c0u, c0v))
+            levels.append((rule[0], ruleRead, ruleCoeffs, tuple(entries), carry))
+        self.taus = tuple(taus)
+        self.levels = tuple(reversed(levels))
 
 
 class SublatticeData:
@@ -372,7 +360,9 @@ def fullRankSublattice(pasture):
     Type-1 candidates are the pair indices collected as their first members
     become dependent; pairs become type-four entries when their last member
     becomes dependent, found through each direction's pair indices, and
-    each direction's coefficients are padded once per level.
+    each direction's coefficients are padded once per level.  Every vector
+    kept here (echelon rows, residuals, combos, coefficients and witness
+    free parts) is a sparse dict, combined by one _combination.
 
     The span check runs on each hexagon's head pair, epsilon and the
     relation columns: every other fundamental element is -x, -y, e + y - x
@@ -443,42 +433,36 @@ def fullRankSublattice(pasture):
     def addGenerator(x):
         generators.append(group.reduce(x))
         level = len(generators)
-        vec = list(group.freePart(x))
+        vec = {k: y for k, y in enumerate(group.freePart(x)) if y}
+        generatorTerms.append(list(vec.items()))
         combo = {level - 1: 1}
         for row in rows.values():
-            a = vec[row.pivot]
+            a = vec.get(row.pivot)
             if a:
                 p = row.vec[row.pivot]
-                vec = [p * s - a * t for s, t in zip(vec, row.vec)]
+                vec = _combination(p, vec, a, row.vec.items())
                 combo = _combination(p, combo, a, row.combo.items())
-        if not any(vec):
+        if not vec:
             raise RuntimeError("sublattice generator does not increase the rank")
-        g = gcd(*vec, *combo.values())
+        g = gcd(*vec.values(), *combo.values())
         if g > 1:
-            vec = [x // g for x in vec]
-            combo = {k: x // g for k, x in combo.items()}
-        pivot = next(i for i, x in enumerate(vec) if x)
-        if vec[pivot] < 0:
-            vec = [-x for x in vec]
-            combo = {k: -x for k, x in combo.items()}
+            vec = {k: y // g for k, y in vec.items()}
+            combo = {k: y // g for k, y in combo.items()}
         new = _Row(vec, combo)
+        p = vec[new.pivot]
         # keep rows pairwise clean: zero the new pivot column in old rows
         for row in rows.values():
-            a = row.vec[new.pivot]
+            a = row.vec.get(new.pivot)
             if a:
-                p = new.vec[new.pivot]
-                row.vec = [p * s - a * t for s, t in zip(row.vec, new.vec)]
-                row.combo = _combination(p, row.combo, a, new.combo.items())
+                row.vec = _combination(p, row.vec, a, vec.items())
+                row.combo = _combination(p, row.combo, a, combo.items())
         rows[new.pivot] = new
-        generatorTerms.append([(k, y) for k, y in enumerate(group.freePart(generators[-1])) if y])
-        p = vec[pivot]
-        terms = [(k, x) for k, x in enumerate(vec) if x]
         still = []
         for d in independent:
             res = d.res
-            a = res.get(pivot)
+            a = res.get(new.pivot)
             if a:
-                res = _combination(p, res, a, terms)
+                res = _combination(p, res, a, vec.items())
                 if not res:
                     d.res = None
                     becameDependent(d)
@@ -487,36 +471,30 @@ def fullRankSublattice(pasture):
             still.append(d)
         independent[:] = still
 
-    def dense(c0, terms):
-        """c0 times the free part with these nonzero terms, as a list."""
-        vec = [0] * r
-        for k, x in terms:
-            vec[k] = c0 * x
-        return vec
-
     def primitiveTriple(terms, withRes):
         """The jointly primitive (c0, coeffs, res) with c0 > 0 and
         res == c0 * f - sum(coeffs[i] * freePart(x_i)) zero at every pivot
         column, for the free part f with these nonzero terms; unique,
-        because the rows are pairwise clean.  coeffs is sparse ({i: nonzero
-        coeffs[i]}); res is left empty unless asked for (it is zero for a
-        dependent direction)."""
+        because the rows are pairwise clean.  coeffs and res are sparse
+        ({index: nonzero}); res is left empty unless asked for (it is zero
+        for a dependent direction)."""
         hits = [(rows[k], a) for k, a in terms if k in rows]
         c0 = 1
         for row, a in hits:
             p = row.vec[row.pivot]
             c0 = lcm(c0, p // gcd(p, a))
         coeffs = {}
-        res = dense(c0, terms) if withRes else []
+        res = {k: c0 * x for k, x in terms} if withRes else {}
         for row, a in hits:
             q = c0 * a // row.vec[row.pivot]
             coeffs = _combination(1, coeffs, -q, row.combo.items())
-            if res:
-                res = [s - q * t for s, t in zip(res, row.vec)]
-        g = gcd(c0, *coeffs.values(), *res)
+            if withRes:
+                res = _combination(1, res, q, row.vec.items())
+        g = gcd(c0, *coeffs.values(), *res.values())
         if g > 1:
             coeffs = {i: c // g for i, c in coeffs.items()}
-        return c0 // g, coeffs, [x // g for x in res]
+            res = {k: x // g for k, x in res.items()}
+        return c0 // g, coeffs, res
 
     def levelCoeffs(coeffs):
         """Sparse coefficients as a tuple over the generators so far."""
@@ -530,13 +508,13 @@ def fullRankSublattice(pasture):
         c0 * f - sum(coeffs[i] * freePart(x_i)), the free part of every
         witness with these data (f the free part with these nonzero terms,
         coeffs sparse), is checked to be zero."""
-        free = dense(c0, terms)
+        free = {k: c0 * x for k, x in terms}
         torsion = [0] * t
         for i, c in coeffs.items():
             for k, y in generatorTerms[i]:
-                free[k] -= c * y
+                free[k] = free.get(k, 0) - c * y
             torsion = [s + c * y for s, y in zip(torsion, generators[i])]
-        if any(free):
+        if any(free.values()):
             raise RuntimeError("%s witness has a nonzero free part" % what)
         return torsion
 
@@ -618,12 +596,11 @@ def fullRankSublattice(pasture):
             cu0, lu, resU = primitiveTriple(termsU, True)
             cv0, lv, resV = primitiveTriple(termsV, True)
             lu, lv = levelCoeffs(lu), levelCoeffs(lv)
-            # primitive (alpha, beta) with alpha * res_u == beta * res_v
-            gu, gv = gcd(*resU), gcd(*resV)
-            su = 1 if next(x for x in resU if x) > 0 else -1
-            sv = 1 if next(x for x in resV if x) > 0 else -1
-            g = gcd(gu, gv)
-            alpha, beta = gv // g, su * sv * (gu // g)
+            # primitive (alpha, beta) with alpha * res_u == beta * res_v, up to
+            # a sign that the rule's normalisation below removes
+            m = min(resU)  # the residuals are proportional, so m is min(resV) too
+            g = gcd(resU[m], resV[m])
+            alpha, beta = resV[m] // g, resU[m] // g
             addGenerator(u)
             before = tuple(-alpha * a + beta * b for a, b in zip(lu, lv))
             ruleCoeffs = before + (alpha * cu0, -beta * cv0)
@@ -664,9 +641,14 @@ def sublatticeOf(pasture):
 
 
 def torsionHoms(p1, p2, isoOnly=False):
-    """Torsion-block candidates: homs of the torsion parts fixing epsilon."""
+    """Torsion-block candidates: homs of the torsion parts fixing epsilon.
+    Refused before any is listed when there are more than MAX_TORSION_HOMS."""
     t1 = GroupPresentation(p1.group.invariants, 0)
     t2 = GroupPresentation(p2.group.invariants, 0)
+    if prod(gcd(a, b) for a in t1.invariants for b in t2.invariants) > MAX_TORSION_HOMS:
+        raise TooManyTorsionHoms(
+            "more than %d homomorphisms between the torsion parts of %s and %s"
+            % (MAX_TORSION_HOMS, p1.name or "the source", p2.name or "the target"))
     eps1 = p1.epsilon[:t1.dim]
     eps2 = p2.epsilon[:t2.dim]
     out = []
@@ -691,30 +673,20 @@ class SearchStats:
         self.valid = 0
 
     def asDict(self):
-        return {
-            "torsionHoms": self.torsionHoms,
-            "leafCandidates": self.leafCandidates,
-            "assembled": self.assembled,
-            "valid": self.valid,
-        }
+        return {name: getattr(self, name) for name in self.__slots__}
 
 
 def _freeRankIncreases(echelon, vec):
-    """Integer echelon rank test; returns the extended echelon or None."""
-    work = list(vec)
-    for pivot, row in echelon:
-        a = work[pivot]
+    """Integer echelon rank test on sparse rows ({column: nonzero}, keyed by
+    their pivot); returns the extended echelon or None."""
+    work = {k: x for k, x in enumerate(vec) if x}
+    for pivot, row in echelon.items():
+        a = work.get(pivot)
         if a:
-            p = row[pivot]
-            work = [p * x - a * y for x, y in zip(work, row)]
-    if not any(work):
+            work = _combination(row[pivot], work, a, row.items())
+    if not work:
         return None
-    g = gcd(*work)
-    work = [x // g for x in work]
-    pivot = next(i for i, x in enumerate(work) if x)
-    if work[pivot] < 0:
-        work = [-x for x in work]
-    return echelon + [(pivot, tuple(work))]
+    return {**echelon, min(work): _primitive(work)}
 
 
 def assemble(p1, p2, sub, psiRows, psiImages, images, stats):
@@ -805,7 +777,7 @@ class _Search:
                 start = mapped[tau] = psi.apply(tau[:n1]) + free
             starts.append(start)
         rows = [[start[i] for start in starts] for i in range(len(self.mods))]
-        return self.descend(1, rows, (0,) * len(self.mods), [])
+        return self.descend(1, rows, (0,) * len(self.mods), {})
 
     def descend(self, level, above, parent, echelon):
         """Visit a node: above holds the parent's slot values, parent its image."""

@@ -12,7 +12,7 @@ import pytest
 import foundry
 from foundry.cli import run
 from foundry.matroid import matroidToJson, namedMatroid
-from foundry.morphism import MAX_MORPHISMS
+from foundry.morphism import MAX_MORPHISMS, MAX_TORSION_HOMS
 from foundry.pasture import builtinPasture, pastureToJson
 
 
@@ -131,6 +131,57 @@ def test_listing_past_the_morphism_ceiling_is_refused_within_seconds(capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: more than %d morphisms" % MAX_MORPHISMS)
     assert captured.err.count("\n") == 1
+
+
+def unitVector(i, n):
+    return [int(j == i) for j in range(n)]
+
+
+# Pastures generated by their fundamental elements whose torsion parts have
+# far more endomorphisms than MAX_TORSION_HOMS: Z/10^9 has 10^9 and (Z/2)^16
+# has 2^256.
+LARGE_TORSION = {
+    "Z/10^9": {"invariants": [10 ** 9], "epsilon": [5 * 10 ** 8], "hexagons": [[[1], [1]]]},
+    "(Z/2)^16": {"invariants": [2] * 16, "epsilon": unitVector(0, 16),
+                 "hexagons": [[unitVector(i, 16), unitVector(i + 1, 16)] for i in range(0, 16, 2)]},
+}
+
+
+@pytest.mark.parametrize("name", sorted(LARGE_TORSION))
+def test_iso_past_the_torsion_ceiling_exits_two_before_listing(capsys, monkeypatch, tmp_path,
+                                                               name):
+    def refuse(*args):
+        raise AssertionError("torsion homomorphisms listed past the ceiling")
+    monkeypatch.setattr("foundry.morphism.homFinite", refuse)
+    path = tmp_path / "pasture.json"
+    path.write_text(json.dumps(LARGE_TORSION[name]))
+    assert run(["iso", "--source", "file:%s" % path, "--target", "file:%s" % path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: more than %d homomorphisms between the torsion parts "
+                            "of the source and the target\n" % MAX_TORSION_HOMS)
+
+
+def test_torsion_ceiling_admits_gf65521(capsys, monkeypatch):
+    """gf:65521's unit group Z/65520 has 65,520 endomorphisms, under the
+    ceiling.  Listing them and searching takes 1 to 2 s, so the listing is
+    replaced by an empty one: the search runs and finds no isomorphism."""
+    listed = []
+
+    def record(source, target):
+        listed.append((source.invariants, target.invariants))
+        return []
+    monkeypatch.setattr("foundry.morphism.homFinite", record)
+    argv = ["iso", "--source", "gf:65521", "--target", "gf:65521"]
+    for ceiling in (MAX_TORSION_HOMS, 65520):
+        monkeypatch.setattr("foundry.morphism.MAX_TORSION_HOMS", ceiling)
+        assert run(argv) == 0
+        assert capsys.readouterr().out == "isomorphic: no\n"
+    assert listed == [((65520,), (65520,))] * 2
+    monkeypatch.setattr("foundry.morphism.MAX_TORSION_HOMS", 65519)
+    assert run(argv) == 2
+    assert capsys.readouterr().err.startswith("error: more than 65519 homomorphisms")
+    assert len(listed) == 2
 
 
 def test_morphisms_matrices_listed(capsys):

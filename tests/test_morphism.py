@@ -1,6 +1,8 @@
 """Morphism search checked against exhaustive enumeration and frozen cases."""
 
 import itertools
+import random
+from math import gcd
 
 import pytest
 
@@ -10,6 +12,7 @@ from foundry.morphism import (
     NotGeneratedByFundamentalElements,
     PastureMorphism,
     SearchStats,
+    _freeRankIncreases,
     countMorphisms,
     fullRankSublattice,
     isIsomorphism,
@@ -276,3 +279,58 @@ def test_trivial_source_cases():
     f1pm = builtinPasture("f1pm")
     for q in [2, 3, 4, 5, 7]:
         assert len(searchMorphisms(f1pm, gfPasture(q))) >= 1
+
+
+def denseFreeRankIncreases(echelon, vec):
+    """The findIso rank test on dense rows, a list of (pivot, row tuple):
+    the oracle for the sparse _freeRankIncreases."""
+    work = list(vec)
+    for pivot, row in echelon:
+        a = work[pivot]
+        if a:
+            p = row[pivot]
+            work = [p * x - a * y for x, y in zip(work, row)]
+    if not any(work):
+        return None
+    g = gcd(*work)
+    work = [x // g for x in work]
+    pivot = next(i for i, x in enumerate(work) if x)
+    if work[pivot] < 0:
+        work = [-x for x in work]
+    return echelon + [(pivot, tuple(work))]
+
+
+def test_sparse_rank_test_matches_the_dense_one():
+    """Along seeded chains of zero, random, repeated, scaled (negated too)
+    and summed vectors with up to 25 coordinates, both tests give the same
+    verdict at every step and keep the same rows."""
+    rng = random.Random(2023)
+    verdicts = {True: 0, False: 0}
+    for _ in range(300):
+        dim = rng.randint(0, 25)
+        dense, sparse, seen = [], {}, []
+        for _ in range(rng.randint(1, 2 * dim + 2)):
+            kind = rng.randrange(6) if seen else rng.choice([0, 1])
+            if kind == 0:
+                vec = (0,) * dim
+            elif kind == 1:
+                vec = tuple(rng.choice([0, 0, 0, rng.randint(-5, 5)]) for _ in range(dim))
+            elif kind == 2:
+                vec = rng.choice(seen)
+            elif kind == 3:
+                c = rng.choice([-3, -2, -1, 2, 3])
+                vec = tuple(c * x for x in rng.choice(seen))
+            else:
+                u, v = rng.choice(seen), rng.choice(seen)
+                c = rng.randint(-2, 2)
+                vec = tuple(x + c * y for x, y in zip(u, v))
+            seen.append(vec)
+            grownDense = denseFreeRankIncreases(dense, vec)
+            grownSparse = _freeRankIncreases(sparse, vec)
+            assert (grownDense is None) == (grownSparse is None), (dense, vec)
+            verdicts[grownDense is not None] += 1
+            if grownDense is not None:
+                dense, sparse = grownDense, grownSparse
+                assert list(sparse.items()) == [
+                    (pivot, {k: x for k, x in enumerate(row) if x}) for pivot, row in dense]
+    assert verdicts[True] > 500 and verdicts[False] > 500

@@ -115,3 +115,34 @@ def test_traced_names_resolve_in_the_package():
         if not found:
             missing.append("%s.%s" % (owner, attr))
     assert missing == []
+
+
+def tracedCounters():
+    """(SEARCH_COUNTERS, the keys it reads off a sublattice's counts) of
+    bench/tracing.py, read from its source without importing it: the
+    SearchStats attributes and the SublatticeData.counts keys a traced run
+    reports."""
+    tree = ast.parse(TRACING.read_text(), filename=str(TRACING))
+    searchCounters = [ast.literal_eval(node.value) for node in tree.body
+                      if isinstance(node, ast.Assign) and len(node.targets) == 1
+                      and getattr(node.targets[0], "id", None) == "SEARCH_COUNTERS"]
+    countKeys = [ast.literal_eval(node.slice) for node in ast.walk(tree)
+                 if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Attribute)
+                 and node.value.attr == "counts" and isinstance(node.slice, ast.Constant)]
+    assert len(searchCounters) == 1
+    return searchCounters[0], countKeys
+
+
+def test_traced_counter_names_resolve_in_the_package():
+    """Every counter the per-layer benchmark trace reads still exists, so
+    renaming a SearchStats attribute or a sublattice count fails here
+    instead of in a traced run."""
+    from foundry.foundation import computeFoundation
+    from foundry.matroid import namedMatroid
+    from foundry.morphism import SearchStats, fullRankSublattice
+
+    searchCounters, countKeys = tracedCounters()
+    assert searchCounters and countKeys
+    assert [name for name in searchCounters if not hasattr(SearchStats(), name)] == []
+    sub = fullRankSublattice(computeFoundation(namedMatroid("fano")).foundation)
+    assert [key for key in countKeys if key not in sub.counts] == []

@@ -263,10 +263,9 @@ def buildParser():
                                  "and finite field representations.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, matroidRequired=True):
-        if matroidRequired:
-            p.add_argument("--matroid", required=True,
-                           help="named matroid, '-' for JSON on stdin, or a .json path")
+    def common(p):
+        p.add_argument("--matroid", required=True,
+                       help="named matroid, '-' for JSON on stdin, or a .json path")
         p.add_argument("--basis", help="reference basis as comma separated elements")
         p.add_argument("--output", choices=["text", "json"], default="text")
         p.add_argument("--jobs", type=int, default=1,

@@ -162,9 +162,10 @@ class _Direction:
     generators.  It is None once the direction is dependent, and then so is
     every member.  pairs are the indices of the pairs with a member in it,
     firsts those whose first member is in it.  dependency holds
-    (c0, coeffs, torsion) for f, computed when first read after the
-    direction became dependent (see fullRankSublattice), and padded holds
-    (level, coeffs, -coeffs), both padded to the level that last read them.
+    (c0, coeffs, torsion) for f, coeffs sparse, computed when first read
+    after the direction became dependent (see fullRankSublattice), and
+    padded holds (level, coeffs, -coeffs) as tuples over the generators up
+    to the level that last read them.
     """
 
     __slots__ = ("terms", "res", "pairs", "firsts", "dependency", "padded")
@@ -345,24 +346,35 @@ def fullRankSublattice(pasture):
     member is added), else the first pair spanning two new directions (type
     3, both members added).
 
+    One routine, eliminate, reduces a free part f against the echelon rows,
+    kept pairwise clean (each is zero at every other row's pivot column), to
+    the jointly primitive (c0, coeffs, res) with c0 > 0 and
+    res == c0 * f - sum(coeffs[i] * freePart(x_i)) zero at every pivot
+    column.  A new generator's row is its res, the free part of
+    c0 * x_l - sum(coeffs[i] * x_i).  A dependent element e has an empty res;
+    its (c0, coeffs) and the torsion witness c0 * e - sum(coeffs[i] * x_i)
+    are its dependency, the one source of rules and type-four entries.  A
+    type-1 rule is u's dependency read before v is added, a type-2 rule v's
+    read just after u is added; each is written
+    sum(-coeffs[i] * x_i) + c0 * e = tau and negated when its first nonzero
+    coefficient is negative, as the primitive relation among independent
+    x_i and e is unique up to sign.
+
     Each piece of work is done once per free direction.  The elements of a
     hexagon come in inverse pairs x and -x, whose free parts differ in sign
     only, so one _Direction per free part up to sign keeps the residual,
     reduced against each new echelon row; when it empties, every member is
-    dependent.  The jointly primitive dependency (c0, coeffs) with c0 > 0 of
-    an element is unique, so it is computed from the pairwise-clean rows for
-    the direction when first read and then kept; a member whose free part
-    is negated takes (c0, -coeffs).  The witness
-    c0 * element - sum(coeffs[i] * x_i) is torsion: its free part depends on
-    the direction alone and is checked to be zero once, and each member's
+    dependent.  A direction's dependency is computed when first read and
+    kept; a member whose free part is negated takes (c0, -coeffs).  The
+    witness's free part depends on the direction alone and is checked to be
+    zero once, recomputed from the generators' own free parts; each member's
     torsion coordinates are c0 times its own less sign times the direction's
     sum(coeffs[i] * torsion(x_i)), so an inverse -e has the witness -tau.
     Type-1 candidates are the pair indices collected as their first members
     become dependent; pairs become type-four entries when their last member
     becomes dependent, found through each direction's pair indices, and
     each direction's coefficients are padded once per level.  Every vector
-    kept here (echelon rows, residuals, combos, coefficients and witness
-    free parts) is a sparse dict, combined by one _combination.
+    kept here is a sparse dict.
 
     The span check runs on each hexagon's head pair, epsilon and the
     relation columns: every other fundamental element is -x, -y, e + y - x
@@ -430,24 +442,35 @@ def fullRankSublattice(pasture):
         if d.res is None:
             becameDependent(d)
 
+    def eliminate(terms):
+        """(c0, coeffs, res) for the free part with these nonzero terms;
+        coeffs and res are sparse ({index: nonzero})."""
+        hits = [(rows[k], a) for k, a in terms if k in rows]
+        c0 = 1
+        for row, a in hits:
+            p = row.vec[row.pivot]
+            c0 = lcm(c0, p // gcd(p, a))
+        coeffs = {}
+        res = {k: c0 * x for k, x in terms}
+        for row, a in hits:
+            q = c0 * a // row.vec[row.pivot]
+            for i, c in row.combo.items():
+                coeffs[i] = coeffs.get(i, 0) + q * c
+            for k, x in row.vec.items():
+                res[k] = res.get(k, 0) - q * x
+        g = gcd(c0, *coeffs.values(), *res.values())
+        return (c0 // g, {i: c // g for i, c in coeffs.items() if c},
+                {k: x // g for k, x in res.items() if x})
+
     def addGenerator(x):
         generators.append(group.reduce(x))
-        level = len(generators)
-        vec = {k: y for k, y in enumerate(group.freePart(x)) if y}
-        generatorTerms.append(list(vec.items()))
-        combo = {level - 1: 1}
-        for row in rows.values():
-            a = vec.get(row.pivot)
-            if a:
-                p = row.vec[row.pivot]
-                vec = _combination(p, vec, a, row.vec.items())
-                combo = _combination(p, combo, a, row.combo.items())
+        terms = [(k, y) for k, y in enumerate(group.freePart(x)) if y]
+        generatorTerms.append(terms)
+        c0, coeffs, vec = eliminate(terms)
         if not vec:
             raise RuntimeError("sublattice generator does not increase the rank")
-        g = gcd(*vec.values(), *combo.values())
-        if g > 1:
-            vec = {k: y // g for k, y in vec.items()}
-            combo = {k: y // g for k, y in combo.items()}
+        combo = {i: -c for i, c in coeffs.items()}
+        combo[len(generators) - 1] = c0
         new = _Row(vec, combo)
         p = vec[new.pivot]
         # keep rows pairwise clean: zero the new pivot column in old rows
@@ -471,71 +494,30 @@ def fullRankSublattice(pasture):
             still.append(d)
         independent[:] = still
 
-    def primitiveTriple(terms, withRes):
-        """The jointly primitive (c0, coeffs, res) with c0 > 0 and
-        res == c0 * f - sum(coeffs[i] * freePart(x_i)) zero at every pivot
-        column, for the free part f with these nonzero terms; unique,
-        because the rows are pairwise clean.  coeffs and res are sparse
-        ({index: nonzero}); res is left empty unless asked for (it is zero
-        for a dependent direction)."""
-        hits = [(rows[k], a) for k, a in terms if k in rows]
-        c0 = 1
-        for row, a in hits:
-            p = row.vec[row.pivot]
-            c0 = lcm(c0, p // gcd(p, a))
-        coeffs = {}
-        res = {k: c0 * x for k, x in terms} if withRes else {}
-        for row, a in hits:
-            q = c0 * a // row.vec[row.pivot]
-            coeffs = _combination(1, coeffs, -q, row.combo.items())
-            if withRes:
-                res = _combination(1, res, q, row.vec.items())
-        g = gcd(c0, *coeffs.values(), *res.values())
-        if g > 1:
-            coeffs = {i: c // g for i, c in coeffs.items()}
-            res = {k: x // g for k, x in res.items()}
-        return c0 // g, coeffs, res
-
-    def levelCoeffs(coeffs):
-        """Sparse coefficients as a tuple over the generators so far."""
-        full = [0] * len(generators)
-        for i, c in coeffs.items():
-            full[i] = c
-        return tuple(full)
-
-    def torsionSum(c0, terms, coeffs, what):
-        """sum(coeffs[i] * x_i) on the torsion coordinates, once
-        c0 * f - sum(coeffs[i] * freePart(x_i)), the free part of every
-        witness with these data (f the free part with these nonzero terms,
-        coeffs sparse), is checked to be zero."""
-        free = {k: c0 * x for k, x in terms}
-        torsion = [0] * t
-        for i, c in coeffs.items():
-            for k, y in generatorTerms[i]:
-                free[k] = free.get(k, 0) - c * y
-            torsion = [s + c * y for s, y in zip(torsion, generators[i])]
-        if any(free.values()):
-            raise RuntimeError("%s witness has a nonzero free part" % what)
-        return torsion
-
-    def witness(c0, element, sign, torsion):
-        """The torsion element c0 * element - sign * torsion."""
-        return tuple([(c0 * x - sign * s) % a
-                      for x, s, a in zip(element, torsion, invariants)]) + zeros
-
     def dependency(rec, level):
         """(c0, coeffs padded to level, witness) of a dependent element."""
         d = rec.direction
         if d.dependency is None:
-            c0, coeffs, _ = primitiveTriple(d.terms, False)
-            d.dependency = (c0, levelCoeffs(coeffs), torsionSum(c0, d.terms, coeffs, "type-four"))
+            c0, coeffs, _ = eliminate(d.terms)
+            free = {k: c0 * x for k, x in d.terms}
+            torsion = [0] * t
+            for i, c in coeffs.items():
+                for k, y in generatorTerms[i]:
+                    free[k] = free.get(k, 0) - c * y
+                torsion = [s + c * y for s, y in zip(torsion, generators[i])]
+            if any(free.values()):
+                raise RuntimeError("sublattice witness has a nonzero free part")
+            d.dependency = (c0, coeffs, torsion)
         c0, coeffs, torsion = d.dependency
         if rec.witness is None:
-            rec.witness = witness(c0, rec.element, rec.sign, torsion)
+            rec.witness = tuple([(c0 * x - rec.sign * s) % a for x, s, a
+                                 in zip(rec.element, torsion, invariants)]) + zeros
         padded = d.padded
         if padded is None or padded[0] != level:
-            plus = coeffs + (0,) * (level - len(coeffs))
-            padded = d.padded = (level, plus, tuple([-c for c in plus]))
+            plus = [0] * level
+            for i, c in coeffs.items():
+                plus[i] = c
+            padded = d.padded = (level, tuple(plus), tuple([-c for c in plus]))
         return c0, padded[1] if rec.sign > 0 else padded[2], rec.witness
 
     def recordNewTypeFour():
@@ -577,45 +559,13 @@ def fullRankSublattice(pasture):
                 if t3 is None:
                     t3 = k
         if t1 is not None:
-            u, v = pairs[t1]
-            c0, coeffs, tau = dependency(pairRecords[t1][0], len(generators))
-            addGenerator(v)
-            ruleCoeffs = tuple(-c for c in coeffs) + (c0,)
-            lead = next(c for c in ruleCoeffs if c)
-            if lead < 0:
-                ruleCoeffs = tuple(-c for c in ruleCoeffs)
-                tau = group.neg(tau)
-            rules.append(("t1", tau, ruleCoeffs))
-            consume(t1)
-            counts["p1"] += 1
-            recordNewTypeFour()
+            k, kind, count = t1, "t1", "p1"
+            c0, coeffs, tau = dependency(pairRecords[k][0], len(generators))
+            addGenerator(pairs[k][1])
         elif t2 is not None:
-            u, v = pairs[t2]
-            termsU, termsV = ([(k, x) for k, x in enumerate(group.freePart(e)) if x]
-                              for e in (u, v))
-            cu0, lu, resU = primitiveTriple(termsU, True)
-            cv0, lv, resV = primitiveTriple(termsV, True)
-            lu, lv = levelCoeffs(lu), levelCoeffs(lv)
-            # primitive (alpha, beta) with alpha * res_u == beta * res_v, up to
-            # a sign that the rule's normalisation below removes
-            m = min(resU)  # the residuals are proportional, so m is min(resV) too
-            g = gcd(resU[m], resV[m])
-            alpha, beta = resV[m] // g, resU[m] // g
-            addGenerator(u)
-            before = tuple(-alpha * a + beta * b for a, b in zip(lu, lv))
-            ruleCoeffs = before + (alpha * cu0, -beta * cv0)
-            g = gcd(*ruleCoeffs)
-            if g > 1:
-                ruleCoeffs = tuple(c // g for c in ruleCoeffs)
-            lead = next(c for c in ruleCoeffs if c)
-            if lead < 0:
-                ruleCoeffs = tuple(-c for c in ruleCoeffs)
-            c0, coeffs = ruleCoeffs[-1], {i: -c for i, c in enumerate(ruleCoeffs[:-1]) if c}
-            tau = witness(c0, v, 1, torsionSum(c0, termsV, coeffs, "type-2 rule"))
-            rules.append(("t2", tau, ruleCoeffs))
-            consume(t2)
-            counts["p2"] += 1
-            recordNewTypeFour()
+            k, kind, count = t2, "t2", "p2"
+            addGenerator(pairs[k][0])
+            c0, coeffs, tau = dependency(pairRecords[k][1], len(generators))
         elif t3 is not None:
             u, v = pairs[t3]
             addGenerator(u)
@@ -626,9 +576,18 @@ def fullRankSublattice(pasture):
             addGenerator(v)
             rules.append(("t3second",))
             recordNewTypeFour()
+            continue
         else:
             raise NotGeneratedByFundamentalElements(
                 "no usable fundamental pair found; the free part is not spanned")
+        ruleCoeffs = tuple(-c for c in coeffs) + (c0,)
+        if next(c for c in ruleCoeffs if c) < 0:
+            ruleCoeffs = tuple(-c for c in ruleCoeffs)
+            tau = group.neg(tau)
+        rules.append((kind, tau, ruleCoeffs))
+        consume(k)
+        counts[count] += 1
+        recordNewTypeFour()
     freeMatrix = IntMatrix.fromColumns([group.freePart(x) for x in generators], dim=r)
     return SublatticeData(tuple(generators), tuple(rules), tuple(typeFourLists), counts,
                           freeMatrix)

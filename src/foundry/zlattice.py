@@ -37,10 +37,6 @@ class IntMatrix:
         raise AttributeError("IntMatrix is immutable")
 
     @classmethod
-    def identity(cls, n):
-        return cls(_identityRows(n), cols=n)
-
-    @classmethod
     def fromColumns(cls, columns, dim=None):
         """Build a matrix whose j-th column is columns[j] (each of length dim)."""
         columns = [tuple(c) for c in columns]
@@ -301,31 +297,6 @@ def spansLattice(a):
             if g == 1:
                 missing -= 1
     return not missing
-
-
-def determinant(a):
-    """Determinant of a square integer matrix (fraction-free elimination)."""
-    if a.rows != a.cols:
-        raise ValueError("determinant needs a square matrix")
-    n = a.rows
-    if n == 0:
-        return 1
-    m = [list(row) for row in a.data]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
-            if swap is None:
-                return 0
-            _swapRows(m, k, swap)
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[k][k] * m[i][j] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
 
 
 class GroupPresentation:

@@ -22,6 +22,8 @@ from foundry.morphism import (
 )
 from foundry.pasture import Pasture, builtinPasture, gfPasture
 from foundry.zlattice import GroupHom, GroupPresentation, IntMatrix
+from test_sublattice_frozen import FROZEN as SUBLATTICE_FROZEN
+from test_sublattice_frozen import pastureOf as frozenSublatticePasture
 
 
 def bruteMorphisms(p1, p2):
@@ -122,28 +124,57 @@ def test_sublattice_counts(name):
 
 
 def test_sublattice_rules_are_consistent():
-    """Each recorded rule must be an actual relation among the generators."""
-    for name in ["pappus", "uniform:2,4", "example52"]:
-        fr = computeFoundation(namedMatroid(name))
-        p = fr.foundation
+    """Every rule and type-four entry is met by a fundamental pair, on every
+    generated frozen sublattice case but the large minus-basis ones.  At
+    level l, a t1 rule has some u with (u, x_l) a fundamental pair and
+    c_l u = tau - sum(c_i x_i, i < l); a t2 rule has some v with (x_l, v) a
+    fundamental pair and c_(l+1) v = tau - sum(c_i x_i, i <= l); an entry
+    has some fundamental pair (u, v) with c0u u - sum(cu_i x_i) = tauU and
+    c0v v - sum(cv_i x_i) = tauV."""
+    checked = {"t1": 0, "t2": 0, "entries": 0}
+    for case in sorted(SUBLATTICE_FROZEN):
+        if (case.startswith("minus-basis:")
+                or SUBLATTICE_FROZEN[case]["record"] == "not generated"):
+            continue
+        p = frozenSublatticePasture(case)
         g = p.group
-        sub = sublatticeOf(p)
+        sub = fullRankSublattice(p)
         pairSet = p.pairSet()
+        scaled = {}  # c -> {c * e: [e, ...]} over the fundamental elements e
+
+        def solutions(c, value):
+            if c not in scaled:
+                scaled[c] = {}
+                for e in p.fundamentalElements():
+                    scaled[c].setdefault(g.scale(c, e), []).append(e)
+            return scaled[c].get(value, [])
+
+        def combination(coeffs):
+            return g.add(*[g.scale(c, x) for c, x in zip(coeffs, sub.generators) if c])
+
         for level, rule in enumerate(sub.rules, start=1):
-            if rule[0] == "t1":
-                tau, coeffs = rule[1], rule[2]
-                assert not any(g.freePart(tau))
-                assert len(coeffs) == level
-            elif rule[0] == "t2":
-                tau, coeffs = rule[1], rule[2]
-                assert not any(g.freePart(tau))
-                assert len(coeffs) == level + 1
+            if rule[0] not in ("t1", "t2"):
+                continue
+            kind, tau, coeffs = rule
+            assert not any(g.freePart(tau)), case
+            assert len(coeffs) == (level if kind == "t1" else level + 1), case
+            xl = sub.generators[level - 1]
+            found = solutions(coeffs[-1], g.add(tau, g.neg(combination(coeffs[:-1]))))
+            if kind == "t1":
+                assert any((u, xl) in pairSet for u in found), (case, level)
+            else:
+                assert any((xl, v) in pairSet for v in found), (case, level)
+            checked[kind] += 1
         for level, bucket in enumerate(sub.typeFourLists, start=1):
             for c0u, cu, tauU, c0v, cv, tauV in bucket:
-                assert c0u > 0 and c0v > 0
-                assert len(cu) == level and len(cv) == level
-                assert not any(g.freePart(tauU))
-                assert not any(g.freePart(tauV))
+                assert c0u > 0 and c0v > 0, case
+                assert len(cu) == level and len(cv) == level, case
+                assert not any(g.freePart(tauU)) and not any(g.freePart(tauV)), case
+                us = solutions(c0u, g.add(tauU, combination(cu)))
+                vs = solutions(c0v, g.add(tauV, combination(cv)))
+                assert any((u, v) in pairSet for u in us for v in vs), (case, level)
+                checked["entries"] += 1
+    assert all(checked.values()), checked
 
 
 def test_pappus_to_gf8_count_and_budget():

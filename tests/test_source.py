@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import foundry
@@ -146,3 +147,50 @@ def test_traced_counter_names_resolve_in_the_package():
     assert [name for name in searchCounters if not hasattr(SearchStats(), name)] == []
     sub = fullRankSublattice(computeFoundation(namedMatroid("fano")).foundation)
     assert [key for key in countKeys if key not in sub.counts] == []
+
+
+# Functions and methods that nothing in the package calls, each kept for a reason.
+UNREFERENCED = {
+    "isIsomorphism": "oracle: the tests check findIso results with it",
+    "gpFromMorphism": "oracle: the tests check representations against it; bench/tracing.py wraps it",
+    "validateGP": "oracle: the tests check Grassmann-Plucker functions with it",
+    "GroupHom.compose": "oracle: the tests check hom composition with it",
+    "GroupPresentation.allElements": "oracle: brute-force morphism enumeration in the tests",
+    "FiniteField.units": "oracle: the tests check each field's generator with it",
+    "solveModular": "bench/tracing.py wraps it",
+    "Pasture.partnersOf": "bench/tracing.py wraps it",
+    "Matroid.dual": "public API the benchmark calls",
+    "matroidToJson": "public API the benchmark calls",
+    "_Parser.error": "argparse calls it on a usage error",
+}
+
+
+def definitions(tree):
+    """(owner prefix, def node) of the module's functions and its classes'
+    methods."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield "", node
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    yield node.name + ".", item
+
+
+def referencedNames(tree):
+    """Every name and attribute the tree reads, with repeats."""
+    return [node.id if isinstance(node, ast.Name) else node.attr for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))]
+
+
+def test_every_function_is_referenced_in_the_package():
+    """Every top-level function and method (dunders aside) is named somewhere
+    in the package outside its own body, as a name or an attribute, or is
+    listed in UNREFERENCED with its reason; a listed name that gains a use
+    leaves the list."""
+    modules = [tree for _, tree in parsedModules()]
+    total = Counter(name for tree in modules for name in referencedNames(tree))
+    unreferenced = [owner + node.name for tree in modules for owner, node in definitions(tree)
+                    if not (node.name.startswith("__") and node.name.endswith("__"))
+                    and total[node.name] == referencedNames(node).count(node.name)]
+    assert sorted(unreferenced) == sorted(UNREFERENCED)

@@ -10,11 +10,10 @@ hyperplanes over corank-2 flats.
 from __future__ import annotations
 
 import itertools
-from operator import sub
 
 from .matroid import InvalidMatroidError
 from .pasture import Pasture
-from .zlattice import GroupPresentation, IntMatrix, cokernelPresentation
+from .zlattice import GroupPresentation, cokernelPresentation
 
 
 class AmbientSymbolGroup:
@@ -77,27 +76,17 @@ def crossRatioTerms(ambient, prefix, k1, k2, k3, k4):
     return terms
 
 
-def crossRatio(ambient, prefix, k1, k2, k3, k4):
-    """The cross-ratio symbol of crossRatioTerms as a vector of length dim."""
-    vec = list(ambient.zero())
-    for i, coeff in crossRatioTerms(ambient, prefix, k1, k2, k3, k4):
-        vec[i] += coeff
-    return tuple(vec)
-
-
 def _nearBases(m):
     return [nb for nb in m.nonbases() if m.rankOf(nb) == m.rank - 1]
 
 
-def tutteRelations(ambient, basis):
-    """Gauge columns (2 e_eps, e_B0) plus the degenerate cross-ratio per
-    near-basis exchange, as the columns of an integer matrix."""
+def tutteRelations(ambient, graph):
+    """The relations, as one list row per symbol: the gauge columns 2 e_eps
+    and e_B0, the degenerate cross-ratio per near-basis exchange, then one
+    gauge column e_(B0 - a + b) per exchange-forest edge."""
     m = ambient.matroid
-    cols = []
-    two = list(ambient.zero())
-    two[0] = 2
-    cols.append(tuple(two))
-    cols.append(ambient.basisVector(basis))
+    b0 = set(graph.basis)
+    columns = [[(0, 2)], [(ambient.index[graph.basis], 1)]]
     for nb in _nearBases(m):
         circuit = m.uniqueCircuitIn(nb)
         cocircuit = m.uniqueCocircuitAvoiding(nb)
@@ -105,30 +94,14 @@ def tutteRelations(ambient, basis):
         for a in circuit[1:]:
             prefix = tuple(e for e in nb if e not in (i, a))
             for b in cocircuit[1:]:
-                cols.append(crossRatio(ambient, prefix, i, a, j, b))
-    return IntMatrix.fromColumns(cols, dim=ambient.dim)
-
-
-def innerTutteRelations(ambient, graph):
-    """One gauge column e_(B0 - a + b) per exchange-forest edge."""
-    b0 = set(graph.basis)
-    cols = []
+                columns.append(crossRatioTerms(ambient, prefix, i, a, j, b))
     for a, b in graph.forestEdges:
-        cols.append(ambient.basisVector(sorted(b0 - {a} | {b})))
-    return IntMatrix.fromColumns(cols, dim=ambient.dim) if cols else IntMatrix(
-        [[] for _ in range(ambient.dim)], cols=0)
-
-
-def _greedyIndependent(m, flat, size):
-    out = []
-    for e in flat:
-        if len(out) == size:
-            break
-        if m.rankOf(out + [e]) == len(out) + 1:
-            out.append(e)
-    if len(out) != size:
-        raise InvalidMatroidError("flat %r has no independent %d-subset" % (flat, size))
-    return tuple(out)
+        columns.append([(ambient.index[tuple(sorted(b0 - {a} | {b}))], 1)])
+    rows = [[0] * len(columns) for _ in range(ambient.dim)]
+    for j, terms in enumerate(columns):
+        for i, coeff in terms:  # the coordinates of one column are distinct
+            rows[i][j] = coeff
+    return rows
 
 
 class FoundationResult:
@@ -176,18 +149,23 @@ def computeFoundation(m, basis=None):
         raise InvalidMatroidError("%r is not a basis" % (basis,))
     ambient = AmbientSymbolGroup(m)
     graph = m.exchangeGraphAndForest(basis)
-    relations = tutteRelations(ambient, basis).hstack(innerTutteRelations(ambient, graph))
-    pres, rhoZero = cokernelPresentation(relations)
+    pres, rhoZero = cokernelPresentation(tutteRelations(ambient, graph))
     epsilon = rhoZero.apply(ambient.epsilonVector())
     heads = []
     if m.rank >= 2:
-        # rhoZero of a cross ratio: its +1 columns summed, less its -1 columns
-        columns = rhoZero.matrix.transpose().data
+        # rhoZero of a cross ratio: the signed sum of its columns of rhoZero,
+        # each kept as its nonzeros (mostly one, whatever the group's size)
+        columns = [[] for _ in range(ambient.dim)]
+        for k, row in enumerate(rhoZero.matrix.data):
+            for i in itertools.compress(range(ambient.dim), row):
+                columns[i].append((k, row[i]))
 
         def image(terms):
-            plus = zip(*[columns[i] for i, coeff in terms if coeff == 1])
-            minus = zip(*[columns[i] for i, coeff in terms if coeff == -1])
-            return pres.reduce(map(sub, map(sum, plus), map(sum, minus)))
+            vec = [0] * pres.dim
+            for i, coeff in terms:
+                for k, x in columns[i]:
+                    vec[k] += coeff * x
+            return pres.reduce(vec)
 
         hyperplanes = [sum(1 << e for e in h) for h in m.flatsOfCorank(1)]
         for flat in m.flatsOfCorank(2):
@@ -195,7 +173,7 @@ def computeFoundation(m, basis=None):
             over = [h & ~inside for h in hyperplanes if not inside & ~h]
             if len(over) < 4:
                 continue
-            prefix = _greedyIndependent(m, flat, m.rank - 2)
+            prefix = m.greedyBasis(flat)
             for quad in itertools.combinations(over, 4):
                 # the least element of each hyperplane outside the flat
                 a1, a2, a3, a4 = ((h & -h).bit_length() - 1 for h in quad)

@@ -9,8 +9,10 @@ sets this package targets.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 
 # The most r-subsets a ground set may have (and the most elements it may
 # have).  Bases, nonbases and rank queries all enumerate or store r-subsets,
@@ -129,18 +131,20 @@ class Matroid:
             mask |= 1 << e
         return max(map(int.bit_count, map(mask.__and__, self._masks)))
 
-    def closure(self, subset):
-        """The e with r(S + e) = r(S): e lies outside cl(S) exactly when it
-        lies outside S and in some basis that meets S in r(S) elements."""
-        mask = sum(1 << e for e in set(subset))
+    def _closureMask(self, mask):
+        """(r(S), the bitmask of cl(S)) for the subset S with bitmask mask:
+        e lies outside cl(S) exactly when it lies outside S and in some basis
+        that meets S in r(S) elements."""
         sizes = list(map(int.bit_count, map(mask.__and__, self._masks)))
         r = max(sizes)
-        outside = 0
-        for size, basis in zip(sizes, self._masks):
-            if size == r:
-                outside |= basis
-        outside &= ~mask
-        return tuple(e for e in range(self.n) if not outside >> e & 1)
+        outside = functools.reduce(operator.or_,
+                                   itertools.compress(self._masks, map(r.__eq__, sizes)))
+        return r, ~outside & ((1 << self.n) - 1) | mask
+
+    def closure(self, subset):
+        """The e with r(S + e) = r(S), as a sorted tuple."""
+        flat = self._closureMask(sum(1 << e for e in set(subset)))[1]
+        return tuple(e for e in range(self.n) if flat >> e & 1)
 
     def dual(self):
         full = set(range(self.n))
@@ -167,15 +171,37 @@ class Matroid:
         hyperplane = set(self.closure(s))
         return tuple(e for e in range(self.n) if e not in hyperplane)
 
+    def greedyBasis(self, subset):
+        """The lexicographically first basis of a subset: its elements in
+        order, each kept when some basis holds it and every element kept."""
+        kept, holding = [], self._masks
+        for e in sorted(subset):
+            within = [b for b in holding if b >> e & 1]
+            if within:
+                kept.append(e)
+                holding = within
+        return tuple(kept)
+
     def flatsOfCorank(self, k):
-        """All flats of rank (rank - k), as sorted tuples in lex order."""
+        """All flats of rank (rank - k), as sorted tuples in lex order.
+
+        Each flat is the closure of its independent t-subsets, t = rank - k,
+        so a t-subset inside a flat already found is skipped: it spans that
+        flat or has lower rank.
+        """
         t = self.rank - k
         if t < 0:
             raise InvalidMatroidError("corank exceeds the rank")
-        flats = set()
-        for s in itertools.combinations(range(self.n), t):
-            if self.rankOf(s) == t:
-                flats.add(self.closure(s))
+        flats, covered = [], set()
+        for s in itertools.combinations([1 << e for e in range(self.n)], t):
+            mask = sum(s)
+            if mask in covered:
+                continue
+            r, flat = self._closureMask(mask)
+            if r == t:
+                bits = [1 << e for e in range(self.n) if flat >> e & 1]
+                covered.update(map(sum, itertools.combinations(bits, t)))
+                flats.append(tuple(b.bit_length() - 1 for b in bits))
         return tuple(sorted(flats))
 
     def exchangeGraphAndForest(self, basis):

@@ -109,7 +109,9 @@ class Pasture:
         self.epsilon = group.reduce(epsilon)
         if not group.isZero(group.scale(2, self.epsilon)):
             raise InvalidPastureError("epsilon must be 2-torsion")
-        hexes = dict.fromkeys(hexagonClosure(group, self.epsilon, x, y) for x, y in hexagonHeads)
+        # each distinct head is closed once; the hexagons are sorted below
+        hexes = dict.fromkeys(hexagonClosure(group, self.epsilon, x, y)
+                              for x, y in dict.fromkeys(hexagonHeads))
         self.hexagons = tuple(sorted(hexes, key=lambda h: h.pairs))
         self.name = name
         self.field = field

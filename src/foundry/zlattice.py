@@ -80,14 +80,6 @@ class IntMatrix:
             raise ValueError("vector length mismatch")
         return tuple(sum(map(mul, row, vec)) for row in self.data)
 
-    def hstack(self, other):
-        if self.rows != other.rows:
-            raise ValueError("row count mismatch in hstack")
-        return IntMatrix(
-            tuple(r1 + r2 for r1, r2 in zip(self.data, other.data)),
-            cols=self.cols + other.cols,
-        )
-
     def vstack(self, other):
         if self.cols != other.cols:
             raise ValueError("column count mismatch in vstack")
@@ -156,25 +148,21 @@ def _pivot(d, t):
     return None if best is None else best[1:]
 
 
-def smithForm(a, withU=False, withV=False):
-    """Smith normal form of an integer matrix, with only the transforms asked for.
+def _smith(d, u, v):
+    """Reduce the list rows d to Smith normal form in place.
 
-    Returns an SnfResult whose U (rows) and V (columns) are None unless
-    requested; D and the requested transforms are exactly those of
-    smithNormalForm(a), since an unrequested transform is carried through
-    the same elimination with no entries.  The invariant factors never need
-    the transforms (Kannan and Bachem, SIAM J. Comput. 1979).
+    Each row operation on d is repeated on the rows u, and each column
+    operation on the rows v; a transform nobody reads is carried as empty
+    rows of u (one per row of d) or no rows of v, which costs nothing.
 
     Pivot selection is deterministic: the entry of smallest absolute value in
-    the working block, ties broken by lowest (row, col).  The diagonal of D is
+    the working block, ties broken by lowest (row, col).  The diagonal is
     nonnegative and each entry divides the next.  Each elimination step
-    costs the nonzeros of the pivot row (of D, and of U when it is built),
+    costs the nonzeros of the pivot row (of d, and of u when it is built),
     times the rows and columns it changes.
     """
-    m, n = a.rows, a.cols
-    d = [list(row) for row in a.data]
-    u = _identityRows(m) if withU else [[] for _ in range(m)]
-    v = _identityRows(n) if withV else []
+    m = len(d)
+    n = len(d[0]) if d else 0
     t = 0
     while t < min(m, n):
         best = _pivot(d, t)
@@ -185,7 +173,7 @@ def smithForm(a, withU=False, withV=False):
             _swapRows(d, t, bi)
             _swapRows(u, t, bi)
         if bj != t:
-            _swapCols(d, t, bj)
+            _swapCols(d[t:], t, bj)  # rows above t are zero right of their pivot
             _swapCols(v, t, bj)
         if d[t][t] < 0:
             d[t] = [-x for x in d[t]]
@@ -226,6 +214,22 @@ def smithForm(a, withU=False, withV=False):
             _addRow(u, t, offender, 1)
             continue
         t += 1
+
+
+def smithForm(a, withU=False, withV=False):
+    """Smith normal form of an integer matrix, with only the transforms asked for.
+
+    Returns an SnfResult whose U (rows) and V (columns) are None unless
+    requested; D and the requested transforms are exactly those of
+    smithNormalForm(a), since an unrequested transform is carried through
+    the same elimination (_smith) with no entries.  The invariant factors
+    never need the transforms (Kannan and Bachem, SIAM J. Comput. 1979).
+    """
+    m, n = a.rows, a.cols
+    d = [list(row) for row in a.data]
+    u = _identityRows(m) if withU else [[] for _ in range(m)]
+    v = _identityRows(n) if withV else []
+    _smith(d, u, v)
     return SnfResult(IntMatrix(u, cols=m) if withU else None,
                      IntMatrix(d, cols=n),
                      IntMatrix(v, cols=n) if withV else None)
@@ -450,24 +454,23 @@ class GroupHom:
 def cokernelPresentation(relations):
     """Present Z^g modulo the column span of an integer matrix.
 
-    Returns (presentation, projection) where projection is the quotient hom
-    from the free ambient group Z^g (presented with no torsion) onto the
-    cokernel in canonical coordinates.
+    relations is an IntMatrix or its g rows as lists of one length, which
+    are then reduced in place.  Returns (presentation, projection) where
+    projection is the quotient hom from the free ambient group Z^g
+    (presented with no torsion) onto the cokernel in canonical coordinates.
+    Only the diagonal and the rows of U that the projection keeps are read
+    off the elimination.
     """
-    g = relations.rows
-    snf = smithForm(relations, withU=True)
-    diag = snf.diagonal()
-    torsionRows = [i for i, d in enumerate(diag) if d >= 2]
+    d = [list(row) for row in relations.data] if isinstance(relations, IntMatrix) else relations
+    g = len(d)
+    u = _identityRows(g)
+    _smith(d, u, [])
+    diag = [row[i] for i, row in enumerate(d[:len(d[0])])] if d else []
+    torsionRows = [i for i, a in enumerate(diag) if a >= 2]
     freeRows = [i for i in range(g) if i >= len(diag) or diag[i] == 0]
     pres = GroupPresentation([diag[i] for i in torsionRows], len(freeRows))
-    rows = []
-    for i in torsionRows:
-        a = diag[i]
-        rows.append(tuple(x % a for x in snf.U.row(i)))
-    for i in freeRows:
-        rows.append(snf.U.row(i))
-    ambient = GroupPresentation([], g)
-    projection = GroupHom(ambient, pres, IntMatrix(rows or [], cols=g))
+    rows = [[x % diag[i] for x in u[i]] for i in torsionRows] + [u[i] for i in freeRows]
+    projection = GroupHom(GroupPresentation([], g), pres, IntMatrix(rows, cols=g))
     return pres, projection
 
 

@@ -6,14 +6,15 @@ import pytest
 from foundry.foundation import (
     AmbientSymbolGroup,
     computeFoundation,
-    crossRatio,
+    crossRatioTerms,
     foundationResultToJson,
-    innerTutteRelations,
     inversionParity,
     tutteRelations,
 )
 from foundry.matroid import InvalidMatroidError, namedMatroid
 from foundry.zlattice import GroupHom, GroupPresentation, IntMatrix
+from test_foundation_frozen import cases as frozenFoundationCases
+from test_foundation_frozen import matroidOf as frozenFoundationMatroid
 
 # Free rank of the foundation for the bigger named matroids (these pins were
 # cross-checked by hand against the relation counts: free rank equals
@@ -25,6 +26,70 @@ EXPECTED_FREE_RANK = {
     "pappus": 7,
     "nonpappus": 8,
 }
+
+
+def crossRatio(ambient, prefix, k1, k2, k3, k4):
+    """Oracle: the cross-ratio symbol as a dense vector, from its definition
+    X(prefix+k1k3) + X(prefix+k2k4) - X(prefix+k1k4) - X(prefix+k2k3), plus
+    e_eps when the four permutations sorting the subscripts have odd total
+    parity."""
+    vec = [0] * ambient.dim
+    for ki, kj, coeff in ((k1, k3, 1), (k2, k4, 1), (k1, k4, -1), (k2, k3, -1)):
+        subscript = tuple(prefix) + (ki, kj)
+        vec[ambient.index[tuple(sorted(subscript))]] += coeff
+        vec[0] ^= inversionParity(subscript)
+    return tuple(vec)
+
+
+def denseRelations(ambient, graph):
+    """Oracle: the relation matrix built one dense column at a time, in the
+    order of tutteRelations: 2 e_eps, e_B0, the degenerate cross-ratio per
+    near-basis exchange, and e_(B0 - a + b) per exchange-forest edge."""
+    m = ambient.matroid
+    cols = [(2,) + (0,) * (ambient.dim - 1), ambient.basisVector(graph.basis)]
+    for nb in m.nonbases():
+        if m.rankOf(nb) != m.rank - 1:
+            continue
+        circuit = m.uniqueCircuitIn(nb)
+        cocircuit = m.uniqueCocircuitAvoiding(nb)
+        i, j = circuit[0], cocircuit[0]
+        for a in circuit[1:]:
+            prefix = tuple(e for e in nb if e not in (i, a))
+            for b in cocircuit[1:]:
+                cols.append(crossRatio(ambient, prefix, i, a, j, b))
+    for a, b in graph.forestEdges:
+        cols.append(ambient.basisVector(set(graph.basis) - {a} | {b}))
+    return IntMatrix.fromColumns(cols, dim=ambient.dim)
+
+
+def test_relation_rows_match_the_dense_definition():
+    """On every matroid of the frozen foundation record."""
+    for case in frozenFoundationCases():
+        m = frozenFoundationMatroid(case)
+        ambient = AmbientSymbolGroup(m)
+        graph = m.exchangeGraphAndForest(m.bases[0])
+        rows = tutteRelations(ambient, graph)
+        assert IntMatrix(rows) == denseRelations(ambient, graph), case
+
+
+def test_cross_ratio_terms_match_the_dense_definition():
+    for name in ("example52", "pappus", "vamos", "uniform(3,7)"):
+        m = namedMatroid(name)
+        ambient = AmbientSymbolGroup(m)
+        rng = random.Random(name)
+        for _ in range(200):
+            k = rng.sample(range(m.n), m.rank + 2)
+            prefix, quad = k[:m.rank - 2], k[m.rank - 2:]
+            try:
+                terms = crossRatioTerms(ambient, prefix, *quad)
+            except InvalidMatroidError:
+                with pytest.raises(KeyError):
+                    crossRatio(ambient, prefix, *quad)
+                continue
+            vec = [0] * ambient.dim
+            for i, coeff in terms:
+                vec[i] += coeff
+            assert tuple(vec) == crossRatio(ambient, prefix, *quad), (name, k)
 
 
 def test_inversion_parity():
@@ -50,8 +115,7 @@ def test_rho_zero_properties():
         m = namedMatroid(name)
         fr = computeFoundation(m)
         rho = fr.rhoZero
-        relations = tutteRelations(fr.ambient, fr.basis).hstack(
-            innerTutteRelations(fr.ambient, fr.graph))
+        relations = denseRelations(fr.ambient, fr.graph)
         for j in range(relations.cols):
             assert fr.foundation.group.isZero(rho.apply(relations.column(j)))
         assert rho.isSurjective()
@@ -108,18 +172,23 @@ def test_cross_ratio_degree_zero():
     ambient = AmbientSymbolGroup(m)
     deg = GroupHom(ambient.pres, GroupPresentation([], 1),
                    IntMatrix([[0] + [1] * len(ambient.matroid.bases)]))
-    rels = tutteRelations(ambient, m.bases[0])
-    assert deg.apply(rels.column(0)) == (0,)  # 2 eps
-    assert deg.apply(rels.column(1)) == (1,)  # the gauge basis symbol
-    for j in range(2, rels.cols):
-        assert deg.apply(rels.column(j)) == (0,)
+    graph = m.exchangeGraphAndForest(m.bases[0])
+    cols = list(zip(*tutteRelations(ambient, graph)))
+    crossRatios = cols[2:len(cols) - len(graph.forestEdges)]
+    assert crossRatios
+    assert deg.apply(cols[0]) == (0,)  # 2 eps
+    assert deg.apply(cols[1]) == (1,)  # the gauge basis symbol
+    for col in crossRatios:
+        assert deg.apply(col) == (0,)
+    for col in cols[len(cols) - len(graph.forestEdges):]:
+        assert deg.apply(col) == (1,)  # a basis next to B0
 
 
 def test_cross_ratio_rejects_nonbases():
     m = namedMatroid("fano")
     ambient = AmbientSymbolGroup(m)
     with pytest.raises(InvalidMatroidError):
-        crossRatio(ambient, (0,), 1, 3, 2, 4)  # {0,1,2} is a nonbasis
+        crossRatioTerms(ambient, (0,), 1, 3, 2, 4)  # {0,1,2} is a nonbasis
 
 
 def test_foundation_with_alternate_base_basis():

@@ -176,16 +176,36 @@ def test_closure_and_flats_against_brute_force():
                     r = m.rankOf(s)
                     assert m.closure(s) == tuple(
                         e for e in range(m.n) if e in s or m.rankOf(s + (e,)) == r), (name, s)
-    for name in ("example52", "fano", "pappus"):
+    # flats of every corank: the catalogue matroids, their duals and seeded
+    # relabellings, against the subsets that no element outside raises in rank
+    for name in sorted(NAMED_BASIS_COUNTS) + ["uniform(2,5)", "uniform(3,6)"]:
         m = namedMatroid(name)
-        allFlats = set()
-        for size in range(m.n + 1):
-            for s in itertools.combinations(range(m.n), size):
-                if set(m.closure(s)) == set(s):
-                    allFlats.add(tuple(sorted(s)))
-        for k in range(m.rank + 1):
-            expected = sorted(f for f in allFlats if m.rankOf(f) == m.rank - k)
-            assert list(m.flatsOfCorank(k)) == expected, (name, k)
+        perm = list(range(m.n))
+        random.Random(name).shuffle(perm)
+        relabelled = Matroid.fromBases(m.n, [[perm[e] for e in b] for b in m.bases])
+        for mm in (m, m.dual(), relabelled):
+            ranked = [(mm.rankOf(s), s) for size in range(mm.n + 1)
+                      for s in itertools.combinations(range(mm.n), size)]
+            allFlats = [(r, s) for r, s in ranked
+                        if all(mm.rankOf(s + (e,)) > r for e in range(mm.n) if e not in s)]
+            for k in range(mm.rank + 1):
+                expected = sorted(s for r, s in allFlats if r == mm.rank - k)
+                assert list(mm.flatsOfCorank(k)) == expected, (name, mm, k)
+            with pytest.raises(InvalidMatroidError):
+                mm.flatsOfCorank(mm.rank + 1)
+
+
+def test_greedy_basis_is_the_lex_first_basis():
+    """Against its definition: the lexicographically first subset of size
+    r(S) that is independent, for every subset S of the catalogue matroids
+    and their duals."""
+    for name in sorted(NAMED_BASIS_COUNTS) + ["uniform(2,5)", "uniform(3,6)"]:
+        for m in (namedMatroid(name), namedMatroid(name).dual()):
+            for size in range(m.n + 1):
+                for s in itertools.combinations(range(m.n), size):
+                    r = m.rankOf(s)
+                    first = next(c for c in itertools.combinations(s, r) if m.rankOf(c) == r)
+                    assert m.greedyBasis(s) == first, (name, s)
 
 
 def test_unique_circuit_and_cocircuit():

@@ -367,6 +367,25 @@ def test_one_head_per_orbit_gives_the_all_heads_pasture():
         assert p.fundamentalPairs() == reference.fundamentalPairs(), q
 
 
+def test_repeated_and_reordered_heads_give_the_distinct_heads_pasture():
+    """Heads closing to one hexagon, repeated and shuffled, build the pasture
+    that each distinct head passed once builds: the same hexagons, pairs in
+    the same order and the same partners."""
+    rng = random.Random(15)
+    pastures = [computeFoundation(namedMatroid(name).dual()).foundation
+                for name in ("pappus", "nonpappus", "ag23")] + [gfPasture(q) for q in (7, 16, 27)]
+    for p in pastures:
+        heads = [pair for h in p.hexagons for pair in h.orientedPairs()]
+        raw = heads * 3
+        rng.shuffle(raw)
+        distinct = Pasture(p.group, p.epsilon, heads)
+        repeated = Pasture(p.group, p.epsilon, raw)
+        assert repeated == distinct == p
+        assert repeated.fundamentalPairs() == distinct.fundamentalPairs() == p.fundamentalPairs()
+        for x in p.fundamentalElements():
+            assert repeated.partnersOf(x) == p.partnersOf(x)
+
+
 def test_builtin_pastures():
     f1pm = builtinPasture("f1pm")
     assert f1pm.hexagons == () and f1pm.epsilon == (1,)

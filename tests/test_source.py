@@ -194,3 +194,36 @@ def test_every_function_is_referenced_in_the_package():
                     if not (node.name.startswith("__") and node.name.endswith("__"))
                     and total[node.name] == referencedNames(node).count(node.name)]
     assert sorted(unreferenced) == sorted(UNREFERENCED)
+
+
+# The names bench/tracing.py times on the foundation path, each a per-layer
+# metric that reads 0 once computeFoundation stops calling it.
+FOUNDATION_LAYERS = (("foundry.foundation", "tutteRelations"),
+                     ("foundry.matroid.Matroid", "flatsOfCorank"),
+                     ("foundry.zlattice", "cokernelPresentation"))
+
+
+def test_compute_foundation_calls_the_traced_foundation_layers(monkeypatch):
+    """Each name is wrapped as bench/tracing.py wraps it: on its class, or in
+    every foundry module that bound it."""
+    from foundry.foundation import computeFoundation
+    from foundry.matroid import namedMatroid
+
+    assert set(FOUNDATION_LAYERS) <= set(tracedNames()["SPANNED"])
+    calls = Counter()
+    for owner, attr in FOUNDATION_LAYERS:
+        original = getattr(resolve(owner), attr)
+
+        def counted(*args, _key=attr, _fn=original, **kwargs):
+            calls[_key] += 1
+            return _fn(*args, **kwargs)
+
+        namespaces = [resolve(owner)] if isinstance(resolve(owner), type) else [
+            module for name, module in sorted(sys.modules.items())
+            if name == "foundry" or name.startswith("foundry.")]
+        for ns in namespaces:
+            for key, value in list(vars(ns).items()):
+                if value is original:
+                    monkeypatch.setattr(ns, key, counted)
+    computeFoundation(namedMatroid("pappus"))
+    assert sorted(calls) == sorted(attr for _, attr in FOUNDATION_LAYERS)

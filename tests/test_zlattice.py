@@ -1,12 +1,13 @@
 import itertools
 import random
+from collections import Counter
 from math import prod
 
 import pytest
 from sympy import Matrix
 from sympy.matrices.normalforms import smith_normal_form
 
-from foundry.foundation import AmbientSymbolGroup, innerTutteRelations, tutteRelations
+from foundry.foundation import AmbientSymbolGroup, tutteRelations
 from foundry.zlattice import (
     GroupHom,
     GroupPresentation,
@@ -19,6 +20,7 @@ from foundry.zlattice import (
     solveModular,
     spansLattice,
 )
+from test_foundation import denseRelations
 from test_foundation_frozen import cases as frozenFoundationCases
 from test_foundation_frozen import matroidOf as frozenFoundationMatroid
 
@@ -195,25 +197,74 @@ def assertSameSmithForm(a):
         assert (res.U, res.D, res.V) == denseSmithForm(a, withU, withV), (a, withU, withV)
 
 
-def test_smith_form_matches_dense_elimination():
+def seededMatrices():
+    """3000 seeded matrices of up to 9 rows and 11 columns, zero rows and
+    zero columns included, of varied density and entry size."""
     rng = random.Random(20261020)
     for _ in range(3000):
         rows, cols = rng.randint(0, 9), rng.randint(0, 11)
         density, bound = rng.uniform(0.1, 1.0), rng.choice([1, 2, 5, 50])
-        a = IntMatrix([[rng.randint(-bound, bound) if rng.random() < density else 0
-                        for _ in range(cols)] for _ in range(rows)], cols=cols)
+        yield IntMatrix([[rng.randint(-bound, bound) if rng.random() < density else 0
+                          for _ in range(cols)] for _ in range(rows)], cols=cols)
+
+
+def test_smith_form_matches_dense_elimination():
+    for a in seededMatrices():
         assertSameSmithForm(a)
 
 
-def test_smith_form_matches_dense_elimination_on_foundation_relations():
-    """The relation matrices of every matroid in the frozen foundation record."""
+def foundationRelations():
+    """(case, the relation matrix) of every matroid in the frozen foundation
+    record, built by the dense definition."""
     for case in frozenFoundationCases():
         m = frozenFoundationMatroid(case)
-        ambient = AmbientSymbolGroup(m)
-        graph = m.exchangeGraphAndForest(m.bases[0])
-        relations = tutteRelations(ambient, m.bases[0]).hstack(
-            innerTutteRelations(ambient, graph))
+        yield case, denseRelations(AmbientSymbolGroup(m), m.exchangeGraphAndForest(m.bases[0]))
+
+
+def test_smith_form_matches_dense_elimination_on_foundation_relations():
+    for _, relations in foundationRelations():
         assertSameSmithForm(relations)
+
+
+def fullFormPresentation(a):
+    """Oracle: the cokernel presentation and projection matrix read off the
+    full smithForm(a, withU=True)."""
+    snf = smithForm(a, withU=True)
+    diag = snf.diagonal()
+    torsion = [i for i, x in enumerate(diag) if x >= 2]
+    free = [i for i in range(a.rows) if i >= len(diag) or diag[i] == 0]
+    rows = ([[x % diag[i] for x in snf.U.row(i)] for i in torsion]
+            + [snf.U.row(i) for i in free])
+    return (GroupPresentation([diag[i] for i in torsion], len(free)),
+            IntMatrix(rows, cols=a.rows))
+
+
+def assertSameCokernel(a, rows=None):
+    """cokernelPresentation of a, and of rows (a's rows as lists, reduced
+    in place), against the full Smith form's."""
+    expected = fullFormPresentation(a)
+    for relations in (a, [list(row) for row in a.data] if rows is None else rows):
+        pres, proj = cokernelPresentation(relations)
+        assert (pres, proj.matrix) == expected, a
+        assert proj.source == GroupPresentation([], a.rows) and proj.target == pres
+
+
+def test_cokernel_matches_the_full_smith_form():
+    shapes = Counter()
+    for a in seededMatrices():
+        assertSameCokernel(a)
+        shapes[a.rows == 0, a.cols == 0] += 1
+    assert all(shapes[key] for key in ((True, False), (False, True), (True, True)))
+
+
+def test_cokernel_of_foundation_relations_matches_the_full_smith_form():
+    kept = {}
+    for case, relations in foundationRelations():
+        m = frozenFoundationMatroid(case)
+        rows = tutteRelations(AmbientSymbolGroup(m), m.exchangeGraphAndForest(m.bases[0]))
+        assertSameCokernel(relations, rows)
+        kept[case] = cokernelPresentation(relations)[1].matrix.rows
+    assert kept["fano"] == 0  # a trivial group keeps no row of U
 
 
 def test_span_check_matches_smith_definition():

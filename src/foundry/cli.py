@@ -12,6 +12,7 @@ closes it early.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -28,7 +29,8 @@ from .morphism import (
     searchMorphisms,
     sublatticeOf,
 )
-from .pasture import InvalidPastureError, builtinPasture, gfPasture, pastureFromJson
+from .pasture import (BUILTIN_PASTURES, InvalidPastureError, builtinPasture, gfPasture,
+                      pastureFromJson)
 from .representation import (
     isOrientable,
     matroidOfMatrix,
@@ -38,8 +40,6 @@ from .representation import (
 
 _DOMAIN_ERRORS = (InvalidMatroidError, InvalidPastureError, FieldError,
                   NotGeneratedByFundamentalElements, TooManyMorphisms, TooManyTorsionHoms)
-
-_BUILTIN_NAMES = ("sign", "krasner", "f1pm", "U", "D", "H", "F3", "P0")
 
 
 class _UsageError(Exception):
@@ -257,7 +257,10 @@ def cmdIso(args):
     return 0
 
 
+@functools.cache
 def buildParser():
+    """The command line parser, built on the first call and then shared:
+    parsing keeps nothing between calls."""
     parser = _Parser(prog="foundry",
                      description="Foundations of matroids, pasture morphisms, "
                                  "and finite field representations.")
@@ -278,7 +281,7 @@ def buildParser():
     p = sub.add_parser("morphisms", help="enumerate morphisms from a foundation")
     common(p)
     p.add_argument("--target", required=True,
-                   help="gf:<q>, one of %s, or file:<path>" % (", ".join(_BUILTIN_NAMES)))
+                   help="gf:<q>, one of %s, or file:<path>" % (", ".join(BUILTIN_PASTURES)))
     p.add_argument("--stats", action="store_true", help="print search counters")
     p.add_argument("--count", action="store_true", help="print only the count")
     p.set_defaults(func=cmdMorphisms)

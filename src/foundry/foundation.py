@@ -76,20 +76,16 @@ def crossRatioTerms(ambient, prefix, k1, k2, k3, k4):
     return terms
 
 
-def _nearBases(m):
-    return [nb for nb in m.nonbases() if m.rankOf(nb) == m.rank - 1]
-
-
 def tutteRelations(ambient, graph):
     """The relations, as one list row per symbol: the gauge columns 2 e_eps
     and e_B0, the degenerate cross-ratio per near-basis exchange, then one
-    gauge column e_(B0 - a + b) per exchange-forest edge."""
+    gauge column e_(B0 - a + b) per exchange-forest edge.  Each near-basis's
+    circuit and cocircuit come from one pass over the bases
+    (Matroid.nearBases)."""
     m = ambient.matroid
     b0 = set(graph.basis)
     columns = [[(0, 2)], [(ambient.index[graph.basis], 1)]]
-    for nb in _nearBases(m):
-        circuit = m.uniqueCircuitIn(nb)
-        cocircuit = m.uniqueCocircuitAvoiding(nb)
+    for nb, circuit, cocircuit in m.nearBases():
         i, j = circuit[0], cocircuit[0]
         for a in circuit[1:]:
             prefix = tuple(e for e in nb if e not in (i, a))

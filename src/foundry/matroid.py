@@ -1,10 +1,10 @@
 """Matroids on ground sets [0, n) with explicit basis lists.
 
-Desk scale by design: bases are stored outright, rank queries scan them, and
-validation checks the exchange axiom for every pair of bases, by one AND of
-bitmasks per pair and element (see Matroid._checkExchange).  That keeps
-every downstream computation exact and easy to audit for the n <= 12 ground
-sets this package targets.
+Desk scale by design: bases are stored outright and queries scan their
+bitmasks.  Validation checks the exchange axiom once per (r-1)-set inside a
+basis, by one AND of bitmasks per such set and basis (see
+Matroid._checkExchange).  That keeps every downstream computation exact and
+easy to audit for the n <= 12 ground sets this package targets.
 """
 
 from __future__ import annotations
@@ -101,22 +101,27 @@ class Matroid:
         return m
 
     def _checkExchange(self):
-        isBasis = set(self._masks).__contains__
+        # blocked[I], for each (r-1)-set I inside a basis: the b with I + b a
+        # basis.  B1 - a + b is a basis exactly when b is in blocked[B1 - a],
+        # so B2 fails the exchange at a when it misses that mask, and each I
+        # is checked once, however many bases hold it.
+        blocked = {}
         for b1, m1 in zip(self.bases, self._masks):
-            # one mask per a in b1: the bit of a and the bits of every b
-            # with b1 - a + b a basis; b2 fails at a when it meets neither
-            blocked = [1 << a | sum(1 << b for b in range(self.n)
-                                    if not m1 >> b & 1 and isBasis(m1 ^ 1 << a | 1 << b))
-                       for a in b1]
-            if all(all(map(mask.__and__, self._masks)) for mask in blocked):
-                continue
-            b2 = next(b for b, m2 in zip(self.bases, self._masks)
-                      if not all(map(m2.__and__, blocked)))
-            s1, s2 = set(b1), set(b2)
-            for a in s1 - s2:
-                if not any(tuple(sorted(s1 - {a} | {b})) in self.basesSet for b in s2 - s1):
-                    raise InvalidMatroidError(
-                        "exchange axiom fails for %r, %r at %r" % (b1, b2, a))
+            for a in b1:
+                i = m1 ^ 1 << a
+                blocked[i] = blocked.get(i, 0) | 1 << a
+        failing = {i for i, mask in blocked.items() if not all(map(mask.__and__, self._masks))}
+        if not failing:
+            return
+        # the first failing B1 in basis order, the first B2 it fails against,
+        # and the first failing a of B1 - B2 in set order
+        b1, m1 = next((b, m) for b, m in zip(self.bases, self._masks)
+                      if any(m ^ 1 << a in failing for a in b))
+        masks = [blocked[m1 ^ 1 << a] for a in b1]
+        b2, m2 = next((b, m) for b, m in zip(self.bases, self._masks)
+                      if not all(map(m.__and__, masks)))
+        a = next(a for a in set(b1) - set(b2) if not m2 & blocked[m1 ^ 1 << a])
+        raise InvalidMatroidError("exchange axiom fails for %r, %r at %r" % (b1, b2, a))
 
     def nonbases(self):
         return tuple(
@@ -141,35 +146,30 @@ class Matroid:
                                    itertools.compress(self._masks, map(r.__eq__, sizes)))
         return r, ~outside & ((1 << self.n) - 1) | mask
 
-    def closure(self, subset):
-        """The e with r(S + e) = r(S), as a sorted tuple."""
-        flat = self._closureMask(sum(1 << e for e in set(subset)))[1]
-        return tuple(e for e in range(self.n) if flat >> e & 1)
-
     def dual(self):
         full = set(range(self.n))
         cobases = [tuple(sorted(full - set(b))) for b in self.bases]
         return Matroid.fromBases(self.n, cobases, validate=False)
 
-    def uniqueCircuitIn(self, subset):
-        """The circuit inside an r-subset of rank r - 1."""
-        s = tuple(sorted(subset))
-        if len(s) != self.rank or self.rankOf(s) != self.rank - 1:
-            raise InvalidMatroidError("expected an r-subset of rank r - 1")
-        rest = set(s)
-        return tuple(e for e in s if self.rankOf(rest - {e}) == self.rank - 1)
+    def nearBases(self):
+        """(N, its circuit, the cocircuit avoiding it) for each r-subset N of
+        rank r - 1, in lex order, each set a sorted tuple.
 
-    def uniqueCocircuitAvoiding(self, subset):
-        """The cocircuit disjoint from an r-subset of rank r - 1.
-
-        The closure of the subset is the unique hyperplane containing it; the
-        cocircuit is that hyperplane's complement.
+        One pass over the bases that meet N in r - 1 elements gives both.
+        Each holds all of N but one element of the circuit, so the circuit is
+        what they do not all hold.  Outside N they cover the complement of the
+        hyperplane cl(N), which is the cocircuit.  An r-subset that no basis
+        meets in r - 1 elements has lower rank.
         """
-        s = tuple(sorted(subset))
-        if len(s) != self.rank or self.rankOf(s) != self.rank - 1:
-            raise InvalidMatroidError("expected an r-subset of rank r - 1")
-        hyperplane = set(self.closure(s))
-        return tuple(e for e in range(self.n) if e not in hyperplane)
+        for nb in self.nonbases():
+            mask = sum(1 << e for e in nb)
+            near = list(itertools.compress(self._masks, map(
+                (self.rank - 1).__eq__, map(int.bit_count, map(mask.__and__, self._masks)))))
+            if near:
+                inside = functools.reduce(operator.and_, near)
+                outside = functools.reduce(operator.or_, near) & ~mask
+                yield (nb, tuple(e for e in nb if not inside >> e & 1),
+                       tuple(e for e in range(self.n) if outside >> e & 1))
 
     def greedyBasis(self, subset):
         """The lexicographically first basis of a subset: its elements in

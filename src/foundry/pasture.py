@@ -268,37 +268,39 @@ def _buildGfPasture(q):
     return Pasture(group, epsilon, heads, name="gf:%d" % q, field=field)
 
 
+# The named pastures: (invariants, free rank, epsilon, hexagon heads).  P0's
+# free generators are x, y, z, w, with hexagons through (x, y), (x, z) and
+# (y/z, w).
+BUILTIN_PASTURES = {
+    "sign": ([2], 0, (1,), [((0,), (0,))]),
+    "krasner": ([], 0, (), [((), ())]),
+    "f1pm": ([2], 0, (1,), []),
+    "U": ([2], 2, (1, 0, 0), [((0, 1, 0), (0, 0, 1))]),
+    "D": ([2], 1, (1, 0), [((0, 1), (0, 1))]),
+    "H": ([6], 0, (3,), [((1,), (5,))]),
+    "F3": ([2], 0, (1,), [((1,), (1,))]),
+    "P0": ([2], 4, (1, 0, 0, 0, 0), [((0, 1, 0, 0, 0), (0, 0, 1, 0, 0)),
+                                     ((0, 1, 0, 0, 0), (0, 0, 0, 1, 0)),
+                                     ((0, 0, 1, -1, 0), (0, 0, 0, 0, 1))]),
+}
+
+# builtinPasture's pastures by name, shared as gfPasture's are, with the
+# search tables and the sublattice built into them.
+_builtinPastures = {}
+
+
 def builtinPasture(name):
-    """The named pastures: f1pm, krasner, sign, U, D, H, F3, P0."""
+    """A named pasture, the name read without case or surrounding blanks;
+    each is built on first use and kept."""
     key = str(name).strip().lower()
-    if key == "f1pm":
-        return Pasture(GroupPresentation([2], 0), (1,), [], name="f1pm")
-    if key == "krasner":
-        return Pasture(GroupPresentation([], 0), (), [((), ())], name="krasner")
-    if key == "sign":
-        return Pasture(GroupPresentation([2], 0), (1,), [((0,), (0,))], name="sign")
-    if key == "u":
-        return Pasture(
-            GroupPresentation([2], 2), (1, 0, 0),
-            [((0, 1, 0), (0, 0, 1))], name="U",
-        )
-    if key == "d":
-        return Pasture(GroupPresentation([2], 1), (1, 0), [((0, 1), (0, 1))], name="D")
-    if key == "h":
-        return Pasture(GroupPresentation([6], 0), (3,), [((1,), (5,))], name="H")
-    if key == "f3":
-        return Pasture(GroupPresentation([2], 0), (1,), [((1,), (1,))], name="F3")
-    if key == "p0":
-        x = (0, 1, 0, 0, 0)
-        y = (0, 0, 1, 0, 0)
-        z = (0, 0, 0, 1, 0)
-        w = (0, 0, 0, 0, 1)
-        yOverZ = (0, 0, 1, -1, 0)
-        return Pasture(
-            GroupPresentation([2], 4), (1, 0, 0, 0, 0),
-            [(x, y), (x, z), (yOverZ, w)], name="P0",
-        )
-    raise InvalidPastureError("unknown pasture name %r" % (name,))
+    label = next((k for k in BUILTIN_PASTURES if k.lower() == key), None)
+    if label is None:
+        raise InvalidPastureError("unknown pasture name %r" % (name,))
+    if label not in _builtinPastures:
+        invariants, freeRank, epsilon, heads = BUILTIN_PASTURES[label]
+        _builtinPastures[label] = Pasture(GroupPresentation(invariants, freeRank), epsilon,
+                                          heads, name=label)
+    return _builtinPastures[label]
 
 
 def pastureToJson(p):

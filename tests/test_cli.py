@@ -417,3 +417,71 @@ def test_reader_closing_stdout_early_exits_one_without_a_traceback():
     err = proc.stderr.read()
     assert proc.wait(timeout=60) == 1
     assert err == b""  # no traceback
+
+
+def inProcess(argv, stdin, capsys, monkeypatch):
+    """(exit code, stdout, stderr) of run(argv), with --help's exit read off
+    the SystemExit that argparse raises."""
+    import io
+    monkeypatch.setattr("sys.stdin", io.StringIO(stdin or ""))
+    try:
+        code = run(argv)
+    except SystemExit as e:
+        code = e.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def inFreshProcess(argv, stdin):
+    env = dict(os.environ, PYTHONPATH=str(Path(foundry.__file__).parents[1]), COLUMNS="80")
+    proc = subprocess.run([sys.executable, "-m", "foundry.cli"] + argv, input=stdin or "",
+                          capture_output=True, text=True, env=env, timeout=120)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_a_reused_parser_carries_no_state(capsys, monkeypatch):
+    """One process runs successes, usage errors, input errors and --help
+    back to back on its one parser; each call prints and exits as it does
+    alone in a fresh process."""
+    monkeypatch.setenv("COLUMNS", "80")
+    fano = json.dumps(matroidToJson(namedMatroid("fano")))
+    calls = [
+        (["foundation", "--matroid", "example52", "--output", "json"], None),
+        (["foundation", "--matroid", "fano", "--bogus"], None),
+        (["orientable", "--matroid", "-", "--output", "json"], fano),
+        (["orientable", "--output", "json"], None),
+        (["iso", "--matroid", "fano", "--source", "F3", "--target", "F3"], None),
+        (["iso", "--source", "F3", "--target", "sign", "--output", "json"], None),
+        (["foundation", "--matroid", "-", "--output", "json"], '{"n": 7, "rank": '),
+        (["certificate", "--matroid", "-", "--output", "json"], fano),
+        (["--help"], None),
+        (["morphisms", "--help"], None),
+        (["morphisms", "--matroid", "example52", "--target", "gf:7", "--count"], None),
+    ]
+    for argv, stdin in calls + calls[::-1]:
+        assert inProcess(argv, stdin, capsys, monkeypatch) == inFreshProcess(argv, stdin), argv
+
+
+def test_importing_the_cli_builds_no_parser():
+    """Checked in a fresh interpreter that counts the argument parsers
+    built: none on import, then one set on the first run, reused after."""
+    script = (
+        "import argparse, contextlib, io, json\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def counted(self, *args, **kwargs):\n"
+        "    built.append(1)\n"
+        "    init(self, *args, **kwargs)\n"
+        "argparse.ArgumentParser.__init__ = counted\n"
+        "import foundry.cli\n"
+        "counts = [len(built)]\n"
+        "for _ in range(2):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        foundry.cli.run(['orientable', '--matroid', 'fano'])\n"
+        "    counts.append(len(built))\n"
+        "print(json.dumps(counts))\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(foundry.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         capture_output=True, text=True, timeout=60).stdout
+    before, first, second = json.loads(out)
+    assert before == 0 and first > 0 and second == first

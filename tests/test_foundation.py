@@ -15,6 +15,7 @@ from foundry.matroid import InvalidMatroidError, namedMatroid
 from foundry.zlattice import GroupHom, GroupPresentation, IntMatrix
 from test_foundation_frozen import cases as frozenFoundationCases
 from test_foundation_frozen import matroidOf as frozenFoundationMatroid
+from test_matroid import circuitShapes, uniqueCircuitIn, uniqueCocircuitAvoiding
 
 # Free rank of the foundation for the bigger named matroids (these pins were
 # cross-checked by hand against the relation counts: free rank equals
@@ -50,8 +51,8 @@ def denseRelations(ambient, graph):
     for nb in m.nonbases():
         if m.rankOf(nb) != m.rank - 1:
             continue
-        circuit = m.uniqueCircuitIn(nb)
-        cocircuit = m.uniqueCocircuitAvoiding(nb)
+        circuit = uniqueCircuitIn(m, nb)
+        cocircuit = uniqueCocircuitAvoiding(m, nb)
         i, j = circuit[0], cocircuit[0]
         for a in circuit[1:]:
             prefix = tuple(e for e in nb if e not in (i, a))
@@ -70,6 +71,20 @@ def test_relation_rows_match_the_dense_definition():
         graph = m.exchangeGraphAndForest(m.bases[0])
         rows = tutteRelations(ambient, graph)
         assert IntMatrix(rows) == denseRelations(ambient, graph), case
+
+
+def test_relation_rows_match_the_dense_definition_on_circuit_shapes():
+    """On the shapes the frozen cases lack: a loop, a coloop, a parallel
+    class, a direct sum, and uniform matroids less a basis, where a circuit
+    or a cocircuit has one element or an r-subset meets no basis in r - 1
+    elements.  Each against the reference basis the foundation takes and
+    against the last basis."""
+    for m in circuitShapes():
+        ambient = AmbientSymbolGroup(m)
+        for basis in (m.bases[0], m.bases[-1]):
+            graph = m.exchangeGraphAndForest(basis)
+            rows = tutteRelations(ambient, graph)
+            assert IntMatrix(rows) == denseRelations(ambient, graph), (m, basis)
 
 
 def test_cross_ratio_terms_match_the_dense_definition():

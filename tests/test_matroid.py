@@ -51,6 +51,45 @@ def linearRank(columns, subset, p):
     return rank
 
 
+def closure(m, subset):
+    """Oracle: the e with r(S + e) = r(S), as a sorted tuple."""
+    s = set(subset)
+    r = m.rankOf(s)
+    return tuple(e for e in range(m.n) if e in s or m.rankOf(s | {e}) == r)
+
+
+def uniqueCircuitIn(m, subset):
+    """Oracle: the circuit inside an r-subset of rank r - 1, as the e whose
+    removal leaves an independent set."""
+    s = tuple(sorted(subset))
+    if len(s) != m.rank or m.rankOf(s) != m.rank - 1:
+        raise InvalidMatroidError("expected an r-subset of rank r - 1")
+    return tuple(e for e in s if m.rankOf(set(s) - {e}) == m.rank - 1)
+
+
+def uniqueCocircuitAvoiding(m, subset):
+    """Oracle: the cocircuit disjoint from an r-subset of rank r - 1, as the
+    complement of its closure, the unique hyperplane containing it."""
+    s = tuple(sorted(subset))
+    if len(s) != m.rank or m.rankOf(s) != m.rank - 1:
+        raise InvalidMatroidError("expected an r-subset of rank r - 1")
+    hyperplane = set(closure(m, s))
+    return tuple(e for e in range(m.n) if e not in hyperplane)
+
+
+def relabelled(m, seed):
+    """m with its ground set permuted by a generator seeded with seed."""
+    perm = list(range(m.n))
+    random.Random(seed).shuffle(perm)
+    return Matroid.fromBases(m.n, [[perm[e] for e in b] for b in m.bases])
+
+
+def withoutBasis(name, index):
+    """The named matroid with its index-th basis removed, validated."""
+    m = namedMatroid(name)
+    return Matroid.fromBases(m.n, m.bases[:index] + m.bases[index + 1:])
+
+
 @pytest.mark.parametrize("name,count", sorted(NAMED_BASIS_COUNTS.items()))
 def test_named_matroids_are_valid(name, count):
     m = namedMatroid(name)
@@ -110,17 +149,28 @@ def test_exchange_validation_rejects_bad_data():
     Matroid.fromBases(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
 
 
-def bruteForceExchange(m):
-    """Oracle: the exchange check that validation replaced, one sorted-tuple
-    lookup per (B1, B2, a, b), with a taken in set order."""
+EXCHANGE_FAILURE = "exchange axiom fails for %r, %r at %r"
+
+
+def firstExchangeFailure(m):
+    """Oracle: the first (B1, B2, a) at which the exchange axiom fails, or
+    None, by one sorted-tuple lookup per (B1, B2, a, b), with a taken in set
+    order."""
     for b1 in m.bases:
         s1 = set(b1)
         for b2 in m.bases:
             s2 = set(b2)
             for a in s1 - s2:
                 if not any(tuple(sorted(s1 - {a} | {b})) in m.basesSet for b in s2 - s1):
-                    raise InvalidMatroidError(
-                        "exchange axiom fails for %r, %r at %r" % (b1, b2, a))
+                    return b1, b2, a
+    return None
+
+
+def bruteForceExchange(m):
+    """Oracle: the exchange check that validation replaced."""
+    failure = firstExchangeFailure(m)
+    if failure is not None:
+        raise InvalidMatroidError(EXCHANGE_FAILURE % failure)
 
 
 def exchangeVerdict(check, m):
@@ -134,27 +184,42 @@ def exchangeVerdict(check, m):
 def test_exchange_check_matches_brute_force():
     rng = random.Random(20261021)
     families = []
-    for name in sorted(NAMED_BASIS_COUNTS) + ["uniform(2,4)", "uniform(2,5)", "uniform(3,6)"]:
-        for m in (namedMatroid(name), namedMatroid(name).dual()):
-            others = [s for s in itertools.combinations(range(m.n), m.rank)
-                      if s not in m.basesSet]
-            for _ in range(6):
-                drop = rng.randrange(len(m.bases))
-                families.append((m.n, m.bases[:drop] + m.bases[drop + 1:]))
-                if others:
-                    families.append((m.n, m.bases + (rng.choice(others),)))
+    # relabelled catalogue matroids, and U(3,7) and U(4,8) less a basis, put
+    # one (r-1)-set in families where it fails and in families where it holds
+    matroids = [mm for name in sorted(NAMED_BASIS_COUNTS) + ["uniform(2,4)", "uniform(2,5)",
+                                                           "uniform(3,6)"]
+                for mm in (namedMatroid(name), namedMatroid(name).dual())]
+    matroids += [relabelled(namedMatroid(name), name) for name in sorted(NAMED_BASIS_COUNTS)]
+    matroids += [withoutBasis("uniform(3,7)", 0), withoutBasis("uniform(3,7)", 17),
+                 withoutBasis("uniform(4,8)", 0), withoutBasis("uniform(4,8)", 40)]
+    for m in matroids:
+        others = [s for s in itertools.combinations(range(m.n), m.rank)
+                  if s not in m.basesSet]
+        for _ in range(6):
+            drop = rng.randrange(len(m.bases))
+            families.append((m.n, m.bases[:drop] + m.bases[drop + 1:]))
+            if others:
+                families.append((m.n, m.bases + (rng.choice(others),)))
     for _ in range(400):
         n = rng.randint(1, 10)
         subsets = list(itertools.combinations(range(n), rng.randint(0, n)))
         keep = rng.choice((0.2, 0.6, 0.9, 0.97))
         families.append((n, [s for s in subsets if rng.random() < keep] or subsets[:1]))
     failing = 0
+    failedSets, heldSets = set(), set()
     for n, bases in families:
         m = Matroid.fromBases(n, bases, validate=False)
-        expected = exchangeVerdict(bruteForceExchange, m)
+        failure = firstExchangeFailure(m)
+        expected = None if failure is None else EXCHANGE_FAILURE % failure
         assert exchangeVerdict(Matroid._checkExchange, m) == expected, (n, bases)
         failing += expected is not None
+        if failure is None:
+            heldSets.update((n, frozenset(b) - {a}) for b in m.bases for a in b)
+        else:
+            failedSets.add((n, frozenset(failure[0]) - {failure[2]}))
     assert 100 < failing < len(families) - 100
+    # some (r-1)-set fails the exchange in one family and holds in another
+    assert failedSets & heldSets
 
 
 def test_exchange_failure_names_a_in_set_order():
@@ -173,17 +238,14 @@ def test_closure_and_flats_against_brute_force():
         for m in (namedMatroid(name), namedMatroid(name).dual()):
             for size in range(m.n + 1):
                 for s in itertools.combinations(range(m.n), size):
-                    r = m.rankOf(s)
-                    assert m.closure(s) == tuple(
-                        e for e in range(m.n) if e in s or m.rankOf(s + (e,)) == r), (name, s)
+                    r, flat = m._closureMask(sum(1 << e for e in s))
+                    assert r == m.rankOf(s), (name, s)
+                    assert flat == sum(1 << e for e in closure(m, s)), (name, s)
     # flats of every corank: the catalogue matroids, their duals and seeded
     # relabellings, against the subsets that no element outside raises in rank
     for name in sorted(NAMED_BASIS_COUNTS) + ["uniform(2,5)", "uniform(3,6)"]:
         m = namedMatroid(name)
-        perm = list(range(m.n))
-        random.Random(name).shuffle(perm)
-        relabelled = Matroid.fromBases(m.n, [[perm[e] for e in b] for b in m.bases])
-        for mm in (m, m.dual(), relabelled):
+        for mm in (m, m.dual(), relabelled(m, name)):
             ranked = [(mm.rankOf(s), s) for size in range(mm.n + 1)
                       for s in itertools.combinations(range(mm.n), size)]
             allFlats = [(r, s) for r, s in ranked
@@ -209,12 +271,13 @@ def test_greedy_basis_is_the_lex_first_basis():
 
 
 def test_unique_circuit_and_cocircuit():
+    """The oracles against minimal dependent sets and hyperplanes."""
     for name in ("example52", "fano", "vamos", "t8"):
         m = namedMatroid(name)
         for nb in m.nonbases():
             if m.rankOf(nb) != m.rank - 1:
                 continue
-            c = m.uniqueCircuitIn(nb)
+            c = uniqueCircuitIn(m, nb)
             # oracle: the minimal dependent subsets of nb
             dependents = [
                 s for size in range(1, len(nb) + 1)
@@ -224,22 +287,48 @@ def test_unique_circuit_and_cocircuit():
             minimal = [s for s in dependents
                        if not any(set(t) < set(s) for t in dependents)]
             assert len(minimal) == 1 and tuple(minimal[0]) == c
-            d = m.uniqueCocircuitAvoiding(nb)
+            d = uniqueCocircuitAvoiding(m, nb)
             assert not (set(d) & set(nb))
             complement = set(range(m.n)) - set(d)
             assert m.rankOf(complement) == m.rank - 1
-            assert set(m.closure(complement)) == complement
+            assert set(closure(m, complement)) == complement
             for e in d:
                 smaller = set(range(m.n)) - set(d) | {e}
                 assert m.rankOf(smaller) == m.rank
 
 
-def test_circuit_preconditions():
-    m = namedMatroid("example52")
-    with pytest.raises(InvalidMatroidError):
-        m.uniqueCircuitIn((0, 1, 3))  # a basis, not rank r - 1
-    with pytest.raises(InvalidMatroidError):
-        m.uniqueCocircuitAvoiding((0, 1))
+def circuitShapes():
+    """Matroids whose near-bases have circuits of one element or cocircuits
+    of one element, or r-subsets of rank below r - 1: fano with a loop, with
+    a coloop and with 0 doubled, the direct sum of U(2,4) and fano, U(3,7)
+    and U(4,8) less a basis, and a coloop with two loops, whose near-bases
+    each meet just one basis in r - 1 elements."""
+    yield Matroid.fromBases(3, [(0,)])
+    fano = namedMatroid("fano")
+    bases = fano.bases
+    yield Matroid.fromBases(8, bases)
+    yield Matroid.fromBases(8, [b + (7,) for b in bases])
+    yield Matroid.fromBases(8, bases + tuple((7,) + b[1:] for b in bases if b[0] == 0))
+    yield Matroid.fromBases(11, [a + tuple(4 + e for e in b)
+                                 for a in namedMatroid("uniform(2,4)").bases for b in bases])
+    yield withoutBasis("uniform(3,7)", 9)
+    yield withoutBasis("uniform(4,8)", 23)
+
+
+def test_near_bases_match_the_circuit_oracles():
+    """nearBases lists exactly the r-subsets of rank r - 1, in lex order,
+    with the circuit and cocircuit the oracles give."""
+    matroids = [mm for name in sorted(NAMED_BASIS_COUNTS) + ["uniform(3,6)"]
+                for mm in (namedMatroid(name), namedMatroid(name).dual())]
+    for m in matroids + list(circuitShapes()):
+        expected = [(nb, uniqueCircuitIn(m, nb), uniqueCocircuitAvoiding(m, nb))
+                    for nb in itertools.combinations(range(m.n), m.rank)
+                    if m.rankOf(nb) == m.rank - 1]
+        assert list(m.nearBases()) == expected, m
+    shapes = [list(m.nearBases()) for m in circuitShapes()]
+    assert any(len(c) == 1 for near in shapes for _, c, _ in near)
+    assert any(len(d) == 1 for near in shapes for _, _, d in near)
+    assert any(len(near) < len(m.nonbases()) for near, m in zip(shapes, circuitShapes()))
 
 
 def test_exchange_graph_forest_example52():

@@ -9,7 +9,7 @@ from foundry import pasture as pastureModule
 from foundry._gf import MAX_FIELD_ORDER, FieldError, FiniteField
 from foundry.foundation import computeFoundation
 from foundry.matroid import _NAMED_NONBASES, namedMatroid
-from foundry.morphism import searchMorphisms
+from foundry.morphism import SearchStats, searchMorphisms
 from foundry.pasture import (
     Hexagon,
     InvalidPastureError,
@@ -401,6 +401,60 @@ def test_builtin_pastures():
     assert p0.group.freeRank == 4
     with pytest.raises(InvalidPastureError):
         builtinPasture("nope")
+
+
+# The built-in pastures' data as the tests record it: (invariants, free
+# rank, epsilon, hexagon heads).  P0 has hexagons through (x, y), (x, z)
+# and (y/z, w) for free x, y, z, w.
+P0_X, P0_Y, P0_Z, P0_W = ((0,) + tuple(int(i == k) for i in range(4)) for k in range(4))
+BUILTIN_DATA = {
+    "f1pm": ([2], 0, (1,), []),
+    "krasner": ([], 0, (), [((), ())]),
+    "sign": ([2], 0, (1,), [((0,), (0,))]),
+    "U": ([2], 2, (1, 0, 0), [((0, 1, 0), (0, 0, 1))]),
+    "D": ([2], 1, (1, 0), [((0, 1), (0, 1))]),
+    "H": ([6], 0, (3,), [((1,), (5,))]),
+    "F3": ([2], 0, (1,), [((1,), (1,))]),
+    "P0": ([2], 4, (1, 0, 0, 0, 0), [(P0_X, P0_Y), (P0_X, P0_Z), ((0, 0, 1, -1, 0), P0_W)]),
+}
+
+
+def searchRecord(p1, p2, findOne):
+    stats = SearchStats()
+    keys = [m.sortKey() for m in searchMorphisms(p1, p2, findOne=findOne, stats=stats)]
+    return keys, stats.asDict()
+
+
+def test_builtin_pastures_are_shared_and_match_fresh_ones():
+    """builtinPasture builds each name once, whatever its case and blanks.
+    Searches out of the shared pastures and into them, repeated, give the
+    maps and counters a fresh pasture of the same data gives, and leave
+    each shared pasture equal to the fresh one."""
+    assert builtinPasture("P0") is builtinPasture("p0") is builtinPasture(" P0 ")
+    fresh = {name: Pasture(GroupPresentation(invariants, freeRank), epsilon, heads, name=name)
+             for name, (invariants, freeRank, epsilon, heads) in BUILTIN_DATA.items()}
+    foundations = [computeFoundation(namedMatroid(name)).foundation
+                   for name in ("example52", "fano", "nonfano", "pappus", "uniform(2,4)")]
+    for _ in range(2):
+        for name, pasture in fresh.items():
+            shared = builtinPasture(name)
+            assert shared is builtinPasture(" %s " % name.upper()) is builtinPasture(name.lower())
+            for f in foundations:
+                assert searchRecord(f, shared, False) == searchRecord(f, pasture, False), name
+                assert searchRecord(shared, f, True) == searchRecord(pasture, f, True), name
+            for other in fresh.values():
+                assert (searchRecord(shared, other, False)
+                        == searchRecord(pasture, other, False)), (name, other)
+    for name, pasture in fresh.items():
+        shared = builtinPasture(name)
+        assert shared == pasture and hash(shared) == hash(pasture) and shared.name == name
+        assert shared.fundamentalPairs() == pasture.fundamentalPairs()
+        assert ([shared.partnersOf(x) for x in shared.fundamentalElements()]
+                == [pasture.partnersOf(x) for x in pasture.fundamentalElements()])
+    for bad in ("nope", "P 0", "", "gf:3"):
+        with pytest.raises(InvalidPastureError) as e:
+            builtinPasture(bad)
+        assert str(e.value) == "unknown pasture name %r" % (bad,)
 
 
 def test_gf2_pasture_is_degenerate():

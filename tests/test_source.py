@@ -158,6 +158,7 @@ UNREFERENCED = {
     "GroupPresentation.allElements": "oracle: brute-force morphism enumeration in the tests",
     "FiniteField.units": "oracle: the tests check each field's generator with it",
     "solveModular": "bench/tracing.py wraps it",
+    "Matroid.rankOf": "bench/tracing.py wraps it; the tests' rank oracles call it",
     "Pasture.partnersOf": "bench/tracing.py wraps it",
     "Matroid.dual": "public API the benchmark calls",
     "matroidToJson": "public API the benchmark calls",

@@ -271,8 +271,6 @@ def buildParser():
                        help="named matroid, '-' for JSON on stdin, or a .json path")
         p.add_argument("--basis", help="reference basis as comma separated elements")
         p.add_argument("--output", choices=["text", "json"], default="text")
-        p.add_argument("--jobs", type=int, default=1,
-                       help="accepted for compatibility; search is sequential")
 
     p = sub.add_parser("foundation", help="compute the foundation of a matroid")
     common(p)
@@ -308,8 +306,6 @@ def buildParser():
     p.add_argument("--basis", help="reference basis when --matroid is used")
     p.add_argument("--target", required=True, help="target pasture")
     p.add_argument("--output", choices=["text", "json"], default="text")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="accepted for compatibility; search is sequential")
     p.set_defaults(func=cmdIso)
     return parser
 

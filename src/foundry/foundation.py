@@ -1,10 +1,11 @@
 """The foundation of a matroid.
 
 The foundation is presented as a quotient of the free abelian group on a
-formal epsilon symbol and one symbol per basis.  Degenerate cross-ratio
-relations plus a gauge (one exchange-forest symbol per edge and the base
-basis itself) cut it down; hexagons are read off from quadruples of
-hyperplanes over corank-2 flats.
+formal epsilon symbol and one symbol per basis: coordinate 0 is epsilon and
+the symbol of a basis sits at index[basis], the bases numbered from 1 in lex
+order.  Degenerate cross-ratio relations plus a gauge (one exchange-forest
+symbol per edge and the base basis itself) cut it down; hexagons are read
+off from quadruples of hyperplanes over corank-2 flats.
 """
 
 from __future__ import annotations
@@ -13,35 +14,7 @@ import itertools
 
 from .matroid import InvalidMatroidError
 from .pasture import Pasture
-from .zlattice import GroupPresentation, cokernelPresentation
-
-
-class AmbientSymbolGroup:
-    """Free abelian group on e_eps (coordinate 0) and e_B per basis (lex order)."""
-
-    __slots__ = ("matroid", "pres", "index")
-
-    def __init__(self, matroid):
-        self.matroid = matroid
-        self.pres = GroupPresentation([], 1 + len(matroid.bases))
-        self.index = {b: i + 1 for i, b in enumerate(matroid.bases)}
-
-    @property
-    def dim(self):
-        return self.pres.dim
-
-    def zero(self):
-        return [0] * self.dim
-
-    def epsilonVector(self):
-        v = self.zero()
-        v[0] = 1
-        return tuple(v)
-
-    def basisVector(self, basis):
-        v = self.zero()
-        v[self.index[tuple(sorted(basis))]] = 1
-        return tuple(v)
+from .zlattice import cokernelPresentation
 
 
 def inversionParity(seq):
@@ -54,7 +27,7 @@ def inversionParity(seq):
     return count & 1
 
 
-def crossRatioTerms(ambient, prefix, k1, k2, k3, k4):
+def crossRatioTerms(index, prefix, k1, k2, k3, k4):
     """The cross-ratio symbol for the pairs (k1 k3)(k2 k4) over prefix, as
     (coordinate, coefficient) terms.
 
@@ -66,9 +39,9 @@ def crossRatioTerms(ambient, prefix, k1, k2, k3, k4):
     terms = []
     for ki, kj, coeff in ((k1, k3, 1), (k2, k4, 1), (k1, k4, -1), (k2, k3, -1)):
         basis = tuple(sorted(prefix + (ki, kj)))
-        if basis not in ambient.index:
+        if basis not in index:
             raise InvalidMatroidError("cross-ratio subscript %r is not a basis" % (basis,))
-        terms.append((ambient.index[basis], coeff))
+        terms.append((index[basis], coeff))
     # parity of the four sorts of prefix + (ki, kj): inversions within prefix
     # or between prefix and a k cancel, since each k is in two of the pairs
     if (k1 > k3) ^ (k2 > k4) ^ (k1 > k4) ^ (k2 > k3):
@@ -76,24 +49,23 @@ def crossRatioTerms(ambient, prefix, k1, k2, k3, k4):
     return terms
 
 
-def tutteRelations(ambient, graph):
-    """The relations, as one list row per symbol: the gauge columns 2 e_eps
-    and e_B0, the degenerate cross-ratio per near-basis exchange, then one
-    gauge column e_(B0 - a + b) per exchange-forest edge.  Each near-basis's
-    circuit and cocircuit come from one pass over the bases
-    (Matroid.nearBases)."""
-    m = ambient.matroid
+def tutteRelations(m, index, graph):
+    """The relations, as one list row per symbol (epsilon, then each basis
+    at its index): the gauge columns 2 e_eps and e_B0, the degenerate
+    cross-ratio per near-basis exchange, then one gauge column
+    e_(B0 - a + b) per exchange-forest edge.  Each near-basis's circuit and
+    cocircuit come from one pass over the bases (Matroid.nearBases)."""
     b0 = set(graph.basis)
-    columns = [[(0, 2)], [(ambient.index[graph.basis], 1)]]
+    columns = [[(0, 2)], [(index[graph.basis], 1)]]
     for nb, circuit, cocircuit in m.nearBases():
         i, j = circuit[0], cocircuit[0]
         for a in circuit[1:]:
             prefix = tuple(e for e in nb if e not in (i, a))
             for b in cocircuit[1:]:
-                columns.append(crossRatioTerms(ambient, prefix, i, a, j, b))
+                columns.append(crossRatioTerms(index, prefix, i, a, j, b))
     for a, b in graph.forestEdges:
-        columns.append([(ambient.index[tuple(sorted(b0 - {a} | {b}))], 1)])
-    rows = [[0] * len(columns) for _ in range(ambient.dim)]
+        columns.append([(index[tuple(sorted(b0 - {a} | {b}))], 1)])
+    rows = [[0] * len(columns) for _ in range(1 + len(index))]
     for j, terms in enumerate(columns):
         for i, coeff in terms:  # the coordinates of one column are distinct
             rows[i][j] = coeff
@@ -101,17 +73,20 @@ def tutteRelations(ambient, graph):
 
 
 class FoundationResult:
-    """The foundation pasture, the quotient map from symbols, and the gauge basis."""
+    """The foundation pasture, the quotient map from symbols, the gauge basis,
+    and each basis's symbol coordinate (index; epsilon is coordinate 0).
+    The image of a symbol is its column of rhoZero.matrix, whose torsion
+    rows cokernelPresentation reduces, so the column is canonical."""
 
-    __slots__ = ("matroid", "foundation", "rhoZero", "basis", "ambient", "graph",
+    __slots__ = ("matroid", "foundation", "rhoZero", "basis", "index", "graph",
                  "_nearImages")
 
-    def __init__(self, matroid, foundation, rhoZero, basis, ambient, graph):
+    def __init__(self, matroid, foundation, rhoZero, basis, index, graph):
         self.matroid = matroid
         self.foundation = foundation
         self.rhoZero = rhoZero
         self.basis = basis
-        self.ambient = ambient
+        self.index = index
         self.graph = graph
         self._nearImages = None
 
@@ -129,9 +104,9 @@ class FoundationResult:
                 for j in range(self.matroid.n):
                     if j in b0:
                         continue
-                    s = tuple(sorted(b0 - {a} | {j}))
-                    if s in self.matroid.basesSet:
-                        images[(i, j)] = self.rhoZero.apply(self.ambient.basisVector(s))
+                    k = self.index.get(tuple(sorted(b0 - {a} | {j})))
+                    if k is not None:
+                        images[(i, j)] = self.rhoZero.matrix.column(k)
             self._nearImages = images
         return self._nearImages
 
@@ -143,17 +118,18 @@ def computeFoundation(m, basis=None):
     basis = tuple(sorted(basis))
     if basis not in m.basesSet:
         raise InvalidMatroidError("%r is not a basis" % (basis,))
-    ambient = AmbientSymbolGroup(m)
+    index = {b: i for i, b in enumerate(m.bases, 1)}
     graph = m.exchangeGraphAndForest(basis)
-    pres, rhoZero = cokernelPresentation(tutteRelations(ambient, graph))
-    epsilon = rhoZero.apply(ambient.epsilonVector())
+    pres, rhoZero = cokernelPresentation(tutteRelations(m, index, graph))
+    epsilon = rhoZero.matrix.column(0)
     heads = []
     if m.rank >= 2:
         # rhoZero of a cross ratio: the signed sum of its columns of rhoZero,
         # each kept as its nonzeros (mostly one, whatever the group's size)
-        columns = [[] for _ in range(ambient.dim)]
+        dim = 1 + len(index)
+        columns = [[] for _ in range(dim)]
         for k, row in enumerate(rhoZero.matrix.data):
-            for i in itertools.compress(range(ambient.dim), row):
+            for i in itertools.compress(range(dim), row):
                 columns[i].append((k, row[i]))
 
         def image(terms):
@@ -173,12 +149,12 @@ def computeFoundation(m, basis=None):
             for quad in itertools.combinations(over, 4):
                 # the least element of each hyperplane outside the flat
                 a1, a2, a3, a4 = ((h & -h).bit_length() - 1 for h in quad)
-                first = image(crossRatioTerms(ambient, prefix, a1, a2, a3, a4))
-                second = image(crossRatioTerms(ambient, prefix, a1, a3, a2, a4))
+                first = image(crossRatioTerms(index, prefix, a1, a2, a3, a4))
+                second = image(crossRatioTerms(index, prefix, a1, a3, a2, a4))
                 heads.append((first, second))
     name = "foundation(%s)" % (m.name or "matroid")
     foundation = Pasture(pres, epsilon, heads, name=name)
-    return FoundationResult(m, foundation, rhoZero, basis, ambient, graph)
+    return FoundationResult(m, foundation, rhoZero, basis, index, graph)
 
 
 def foundationResultToJson(fr):

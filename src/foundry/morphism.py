@@ -113,7 +113,7 @@ def isMorphism(f):
         return False
     pairs = f.target.pairSet()
     for h in f.source.hexagons:
-        x, y = h.pairs[0]
+        x, y = h[0]
         if (f.apply(x), f.apply(y)) not in pairs:
             return False
     return True
@@ -385,10 +385,10 @@ def fullRankSublattice(pasture):
     r = group.freeRank
     invariants = group.invariants
     t = len(invariants)
-    spanCols = [x for h in pasture.hexagons for x in h.pairs[0]]
+    spanCols = [x for h in pasture.hexagons for x in h[0]]
     spanCols.append(pasture.epsilon)
     spanCols.extend(group.relationColumns())
-    if not spansLattice(IntMatrix.fromColumns(spanCols, dim=group.dim)):
+    if not spansLattice(spanCols, group.dim):
         raise NotGeneratedByFundamentalElements(
             "%s is not generated by its fundamental elements and epsilon"
             % (pasture.name or "pasture",))
@@ -713,7 +713,7 @@ class _Search:
         self.fundamentalElements = p2.fundamentalElements()
         self.partners = p2._partners
         self.pairs = p2.pairSet()
-        self.heads = tuple(h.pairs[0] for h in p1.hexagons)
+        self.heads = tuple(h[0] for h in p1.hexagons)
         self.levels = tuple(
             (kind, ruleRead, p2.ruleCandidates(ruleCoeffs) if ruleCoeffs else None,
              tuple((((kU, uPrev, uL), (kV, vPrev, vL)), p2.scaledPairs(c0u, c0v))

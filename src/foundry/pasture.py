@@ -3,8 +3,9 @@
 A pasture is described here by its unit group (a GroupPresentation, written
 additively), the distinguished 2-torsion element epsilon (the class of -1),
 and its hexagons: the equivalence classes of fundamental pairs (x, y) with
-x + y = 1.  Elements are coordinate tuples; the pasture's multiplication is
-the group addition.  The three-term nullset is determined by epsilon and the
+x + y = 1, each a canonical closure triple of three pairs (hexagonClosure).
+Elements are coordinate tuples; the pasture's multiplication is the group
+addition.  The three-term nullset is determined by epsilon and the
 fundamental pairs, so no separate nullset data is stored.
 """
 
@@ -38,40 +39,6 @@ def closureTriple(group, epsilon, x, y):
     return (x, y), (group.neg(x), w), (group.neg(y), group.neg(w))
 
 
-class Hexagon:
-    """One equivalence class of fundamental pairs, stored canonically.
-
-    pairs holds the closure triple generated from the lexicographically
-    smallest of the six oriented pairs in the class.
-    """
-
-    __slots__ = ("pairs",)
-
-    def __init__(self, pairs):
-        self.pairs = pairs
-
-    def orientedPairs(self):
-        """All oriented pairs, pair before its swap, duplicates dropped."""
-        seen = []
-        for x, y in self.pairs:
-            for p in ((x, y), (y, x)):
-                if p not in seen:
-                    seen.append(p)
-        return tuple(seen)
-
-    def elements(self):
-        return tuple(sorted({c for p in self.pairs for c in p}))
-
-    def __eq__(self, other):
-        return isinstance(other, Hexagon) and self.pairs == other.pairs
-
-    def __hash__(self):
-        return hash(self.pairs)
-
-    def __repr__(self):
-        return "Hexagon(%r)" % (self.pairs,)
-
-
 # The closure triple of the k-th oriented pair, as indices into the six
 # oriented pairs of a closure triple listed pair before swap: with
 # 2*epsilon = 0, closing any of them gives back three of the same six.
@@ -79,19 +46,23 @@ _HEAD_TRIPLES = ((0, 2, 4), (1, 4, 2), (2, 0, 5), (3, 5, 0), (4, 1, 3), (5, 3, 1
 
 
 def hexagonClosure(group, epsilon, x, y):
-    """The hexagon through the fundamental pair (x, y), canonically oriented."""
+    """The hexagon through the fundamental pair (x, y): one equivalence class
+    of fundamental pairs, stored canonically as the closure triple generated
+    from the lexicographically smallest of the six oriented pairs in the
+    class."""
     triple = closureTriple(group, epsilon, x, y)
     candidates = [p for pair in triple for p in (pair, (pair[1], pair[0]))]
     head = min(range(6), key=candidates.__getitem__)
-    return Hexagon(tuple(candidates[i] for i in _HEAD_TRIPLES[head]))
+    return tuple(candidates[i] for i in _HEAD_TRIPLES[head])
 
 
 def hexagonType(hexagon):
-    """Classify a hexagon as F3, D, H, or U by its coordinate pattern."""
-    distinct = len(hexagon.elements())
+    """Classify a hexagon (a closure triple) as F3, D, H, or U by its
+    coordinate pattern."""
+    distinct = len({c for pair in hexagon for c in pair})
     if distinct == 1:
         return "F3"
-    if sum(1 for x, y in hexagon.pairs if x == y) == 1:
+    if sum(1 for x, y in hexagon if x == y) == 1:
         return "D"
     if distinct == 2:
         return "H"
@@ -112,12 +83,14 @@ class Pasture:
         # each distinct head is closed once; the hexagons are sorted below
         hexes = dict.fromkeys(hexagonClosure(group, self.epsilon, x, y)
                               for x, y in dict.fromkeys(hexagonHeads))
-        self.hexagons = tuple(sorted(hexes, key=lambda h: h.pairs))
+        self.hexagons = tuple(sorted(hexes))
         self.name = name
         self.field = field
-        # the oriented pairs in scan order, and each fundamental element's
-        # partners, keyed and listed in sorted order
-        self._pairs = tuple(dict.fromkeys(p for h in self.hexagons for p in h.orientedPairs()))
+        # the oriented pairs in scan order (each pair, then its swap, the
+        # first time it is seen), and each fundamental element's partners,
+        # keyed and listed in sorted order
+        self._pairs = tuple(dict.fromkeys(p for h in self.hexagons for x, y in h
+                                          for p in ((x, y), (y, x))))
         self._pairSet = frozenset(self._pairs)
         partners = {}
         for x, y in sorted(self._pairs):
@@ -308,7 +281,7 @@ def pastureToJson(p):
         "invariants": list(p.group.invariants),
         "freeRank": p.group.freeRank,
         "epsilon": list(p.epsilon),
-        "hexagons": [[list(h.pairs[0][0]), list(h.pairs[0][1])] for h in p.hexagons],
+        "hexagons": [[list(h[0][0]), list(h[0][1])] for h in p.hexagons],
     }
 
 

@@ -56,8 +56,7 @@ def gpFromMorphism(foundationResult, morphism):
     fr = foundationResult
     values = {}
     for b in fr.matroid.bases:
-        symbol = fr.ambient.basisVector(b)
-        values[b] = morphism.apply(fr.rhoZero.apply(symbol))
+        values[b] = morphism.apply(fr.rhoZero.matrix.column(fr.index[b]))
     return GPFunction(fr.matroid, morphism.target, values)
 
 

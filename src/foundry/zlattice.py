@@ -1,11 +1,10 @@
 """Exact integer linear algebra for finitely generated abelian groups.
 
 Everything works over plain Python ints: Smith normal form by elimination
-over the nonzeros of each pivot row, building each unimodular transform
-only for callers that read it, a span check that inserts columns into an
-echelon basis, cokernel presentations, modular linear solves against a
-matrix factored once, and enumeration of homomorphisms between finite
-abelian groups.
+over the nonzeros of each pivot row, a span check that inserts columns into
+an echelon basis, cokernel presentations that build no column transform,
+modular linear solves against a matrix factored once, and enumeration of
+homomorphisms between finite abelian groups.
 """
 
 from __future__ import annotations
@@ -52,9 +51,6 @@ class IntMatrix:
     def entry(self, i, j):
         return self.data[i][j]
 
-    def row(self, i):
-        return self.data[i]
-
     def column(self, j):
         return tuple(row[j] for row in self.data)
 
@@ -99,10 +95,7 @@ class IntMatrix:
 
 
 class SnfResult:
-    """Smith normal form data: U @ A @ V == D with U, V unimodular.
-
-    U or V is None when the computation was asked not to build it.
-    """
+    """Smith normal form data: U @ A @ V == D with U, V unimodular."""
 
     __slots__ = ("U", "D", "V")
 
@@ -152,14 +145,15 @@ def _smith(d, u, v):
     """Reduce the list rows d to Smith normal form in place.
 
     Each row operation on d is repeated on the rows u, and each column
-    operation on the rows v; a transform nobody reads is carried as empty
-    rows of u (one per row of d) or no rows of v, which costs nothing.
+    operation on the rows v; cokernelPresentation, which reads no column
+    transform, passes no rows of v, which costs nothing.
 
     Pivot selection is deterministic: the entry of smallest absolute value in
     the working block, ties broken by lowest (row, col).  The diagonal is
     nonnegative and each entry divides the next.  Each elimination step
-    costs the nonzeros of the pivot row (of d, and of u when it is built),
-    times the rows and columns it changes.
+    costs the nonzeros of the pivot row of d and of u, times the rows and
+    columns it changes.  The invariant factors never need the transforms
+    (Kannan and Bachem, SIAM J. Comput. 1979).
     """
     m = len(d)
     n = len(d[0]) if d else 0
@@ -216,28 +210,13 @@ def _smith(d, u, v):
         t += 1
 
 
-def smithForm(a, withU=False, withV=False):
-    """Smith normal form of an integer matrix, with only the transforms asked for.
-
-    Returns an SnfResult whose U (rows) and V (columns) are None unless
-    requested; D and the requested transforms are exactly those of
-    smithNormalForm(a), since an unrequested transform is carried through
-    the same elimination (_smith) with no entries.  The invariant factors
-    never need the transforms (Kannan and Bachem, SIAM J. Comput. 1979).
-    """
-    m, n = a.rows, a.cols
-    d = [list(row) for row in a.data]
-    u = _identityRows(m) if withU else [[] for _ in range(m)]
-    v = _identityRows(n) if withV else []
-    _smith(d, u, v)
-    return SnfResult(IntMatrix(u, cols=m) if withU else None,
-                     IntMatrix(d, cols=n),
-                     IntMatrix(v, cols=n) if withV else None)
-
-
 def smithNormalForm(a):
     """Smith normal form with both unimodular transforms: U @ a @ V == D."""
-    return smithForm(a, withU=True, withV=True)
+    m, n = a.rows, a.cols
+    d = [list(row) for row in a.data]
+    u, v = _identityRows(m), _identityRows(n)
+    _smith(d, u, v)
+    return SnfResult(IntMatrix(u, cols=m), IntMatrix(d, cols=n), IntMatrix(v, cols=n))
 
 
 def _xgcd(a, b):
@@ -253,20 +232,20 @@ def _xgcd(a, b):
     return a, s0, t0
 
 
-def spansLattice(a):
-    """Whether the columns of a span all of Z^a.rows.
+def spansLattice(columns, dim):
+    """Whether the columns (each a sequence of dim integers) span all of Z^dim.
 
     The columns go one at a time, as sparse vectors, into an echelon basis of
     the lattice they span: at the column's first nonzero row, the basis
     vector there and the column are replaced by a unimodular combination
     whose pivot is their extended gcd, and the column moves on with a zero
-    in that row.  The columns span Z^a.rows exactly when every row holds a
+    in that row.  The columns span Z^dim exactly when every row holds a
     pivot equal to 1, and the answer is True as soon as that happens, with
     no Smith elimination (Kannan and Bachem, SIAM J. Comput. 1979).
     """
     basis = {}  # row -> the basis vector whose first nonzero entry is there
-    missing = a.rows  # rows without a unit pivot
-    for col in zip(*a.data):
+    missing = dim  # rows without a unit pivot
+    for col in columns:
         if not missing:
             break
         c = {i: y for i, y in enumerate(col) if y}
@@ -434,7 +413,7 @@ class GroupHom:
     def isSurjective(self):
         """True when the image together with target relations spans Z^dim."""
         cols = self.matrix.columns() + self.target.relationColumns()
-        return spansLattice(IntMatrix.fromColumns(cols, dim=self.target.dim))
+        return spansLattice(cols, self.target.dim)
 
     def __eq__(self, other):
         return (

@@ -321,9 +321,16 @@ def test_subset_ceiling_exits_two_before_enumerating(capsys, monkeypatch, argv, 
     assert err.startswith("error:") and "10000" in err
 
 
-def test_jobs_flag_accepted(capsys):
-    assert run(["orientable", "--matroid", "fano", "--jobs", "4"]) == 0
-    capsys.readouterr()
+@pytest.mark.parametrize("argv", [
+    ["orientable", "--matroid", "fano", "--jobs", "4"],
+    ["iso", "--source", "sign", "--target", "sign", "--jobs", "4"],
+])
+def test_jobs_flag_is_a_usage_error(capsys, argv):
+    """The search is sequential and no subcommand takes --jobs."""
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "--jobs" in captured.err
 
 
 @pytest.mark.parametrize("argv", [

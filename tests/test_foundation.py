@@ -4,7 +4,6 @@ import random
 import pytest
 
 from foundry.foundation import (
-    AmbientSymbolGroup,
     computeFoundation,
     crossRatioTerms,
     foundationResultToJson,
@@ -15,7 +14,7 @@ from foundry.matroid import InvalidMatroidError, namedMatroid
 from foundry.zlattice import GroupHom, GroupPresentation, IntMatrix
 from test_foundation_frozen import cases as frozenFoundationCases
 from test_foundation_frozen import matroidOf as frozenFoundationMatroid
-from test_matroid import circuitShapes, uniqueCircuitIn, uniqueCocircuitAvoiding
+from test_matroid import circuitShapes, relabelled, uniqueCircuitIn, uniqueCocircuitAvoiding
 
 # Free rank of the foundation for the bigger named matroids (these pins were
 # cross-checked by hand against the relation counts: free rank equals
@@ -29,25 +28,39 @@ EXPECTED_FREE_RANK = {
 }
 
 
-def crossRatio(ambient, prefix, k1, k2, k3, k4):
+def symbolIndex(m):
+    """The symbol coordinates by definition: each basis numbered from 1 in
+    lex order, epsilon at 0."""
+    return {b: i for i, b in enumerate(sorted(m.bases), 1)}
+
+
+def unitVector(dim, i):
+    return tuple(int(k == i) for k in range(dim))
+
+
+def crossRatio(index, prefix, k1, k2, k3, k4):
     """Oracle: the cross-ratio symbol as a dense vector, from its definition
     X(prefix+k1k3) + X(prefix+k2k4) - X(prefix+k1k4) - X(prefix+k2k3), plus
     e_eps when the four permutations sorting the subscripts have odd total
     parity."""
-    vec = [0] * ambient.dim
+    vec = [0] * (1 + len(index))
     for ki, kj, coeff in ((k1, k3, 1), (k2, k4, 1), (k1, k4, -1), (k2, k3, -1)):
         subscript = tuple(prefix) + (ki, kj)
-        vec[ambient.index[tuple(sorted(subscript))]] += coeff
+        vec[index[tuple(sorted(subscript))]] += coeff
         vec[0] ^= inversionParity(subscript)
     return tuple(vec)
 
 
-def denseRelations(ambient, graph):
+def denseRelations(m, index, graph):
     """Oracle: the relation matrix built one dense column at a time, in the
     order of tutteRelations: 2 e_eps, e_B0, the degenerate cross-ratio per
     near-basis exchange, and e_(B0 - a + b) per exchange-forest edge."""
-    m = ambient.matroid
-    cols = [(2,) + (0,) * (ambient.dim - 1), ambient.basisVector(graph.basis)]
+    dim = 1 + len(index)
+
+    def basisVector(basis):
+        return unitVector(dim, index[tuple(sorted(basis))])
+
+    cols = [(2,) + (0,) * (dim - 1), basisVector(graph.basis)]
     for nb in m.nonbases():
         if m.rankOf(nb) != m.rank - 1:
             continue
@@ -57,20 +70,20 @@ def denseRelations(ambient, graph):
         for a in circuit[1:]:
             prefix = tuple(e for e in nb if e not in (i, a))
             for b in cocircuit[1:]:
-                cols.append(crossRatio(ambient, prefix, i, a, j, b))
+                cols.append(crossRatio(index, prefix, i, a, j, b))
     for a, b in graph.forestEdges:
-        cols.append(ambient.basisVector(set(graph.basis) - {a} | {b}))
-    return IntMatrix.fromColumns(cols, dim=ambient.dim)
+        cols.append(basisVector(set(graph.basis) - {a} | {b}))
+    return IntMatrix.fromColumns(cols, dim=dim)
 
 
 def test_relation_rows_match_the_dense_definition():
     """On every matroid of the frozen foundation record."""
     for case in frozenFoundationCases():
         m = frozenFoundationMatroid(case)
-        ambient = AmbientSymbolGroup(m)
+        index = symbolIndex(m)
         graph = m.exchangeGraphAndForest(m.bases[0])
-        rows = tutteRelations(ambient, graph)
-        assert IntMatrix(rows) == denseRelations(ambient, graph), case
+        rows = tutteRelations(m, index, graph)
+        assert IntMatrix(rows) == denseRelations(m, index, graph), case
 
 
 def test_relation_rows_match_the_dense_definition_on_circuit_shapes():
@@ -80,31 +93,31 @@ def test_relation_rows_match_the_dense_definition_on_circuit_shapes():
     elements.  Each against the reference basis the foundation takes and
     against the last basis."""
     for m in circuitShapes():
-        ambient = AmbientSymbolGroup(m)
+        index = symbolIndex(m)
         for basis in (m.bases[0], m.bases[-1]):
             graph = m.exchangeGraphAndForest(basis)
-            rows = tutteRelations(ambient, graph)
-            assert IntMatrix(rows) == denseRelations(ambient, graph), (m, basis)
+            rows = tutteRelations(m, index, graph)
+            assert IntMatrix(rows) == denseRelations(m, index, graph), (m, basis)
 
 
 def test_cross_ratio_terms_match_the_dense_definition():
     for name in ("example52", "pappus", "vamos", "uniform(3,7)"):
         m = namedMatroid(name)
-        ambient = AmbientSymbolGroup(m)
+        index = symbolIndex(m)
         rng = random.Random(name)
         for _ in range(200):
             k = rng.sample(range(m.n), m.rank + 2)
             prefix, quad = k[:m.rank - 2], k[m.rank - 2:]
             try:
-                terms = crossRatioTerms(ambient, prefix, *quad)
+                terms = crossRatioTerms(index, prefix, *quad)
             except InvalidMatroidError:
                 with pytest.raises(KeyError):
-                    crossRatio(ambient, prefix, *quad)
+                    crossRatio(index, prefix, *quad)
                 continue
-            vec = [0] * ambient.dim
+            vec = [0] * (1 + len(index))
             for i, coeff in terms:
                 vec[i] += coeff
-            assert tuple(vec) == crossRatio(ambient, prefix, *quad), (name, k)
+            assert tuple(vec) == crossRatio(index, prefix, *quad), (name, k)
 
 
 def test_inversion_parity():
@@ -130,13 +143,41 @@ def test_rho_zero_properties():
         m = namedMatroid(name)
         fr = computeFoundation(m)
         rho = fr.rhoZero
-        relations = denseRelations(fr.ambient, fr.graph)
+        assert fr.index == symbolIndex(m)
+        relations = denseRelations(m, fr.index, fr.graph)
         for j in range(relations.cols):
             assert fr.foundation.group.isZero(rho.apply(relations.column(j)))
         assert rho.isSurjective()
-        assert rho.apply(fr.ambient.epsilonVector()) == fr.foundation.epsilon
+        dim = relations.rows
+        assert rho.apply(unitVector(dim, 0)) == fr.foundation.epsilon
         # gauge: the base basis symbol dies
-        assert fr.foundation.group.isZero(rho.apply(fr.ambient.basisVector(fr.basis)))
+        assert fr.foundation.group.isZero(rho.apply(unitVector(dim, fr.index[fr.basis])))
+
+
+def test_symbol_images_are_the_columns_of_rho_zero():
+    """On every matroid of the frozen foundation record and a relabelling of
+    each seeded by its case: the column of rhoZero at a symbol's index is
+    rhoZero applied to the symbol's unit vector, for epsilon and for every
+    basis, and nearBasisImages holds those columns of the bases next to B0."""
+    for case in frozenFoundationCases():
+        m = frozenFoundationMatroid(case)
+        for matroid in (m, relabelled(m, case)):
+            fr = computeFoundation(matroid)
+            rho = fr.rhoZero
+            dim = rho.matrix.cols
+            assert fr.index == symbolIndex(matroid) and dim == 1 + len(fr.index)
+            assert rho.matrix.column(0) == rho.apply(unitVector(dim, 0)) == fr.foundation.epsilon
+            for b in matroid.bases:
+                k = fr.index[b]
+                assert rho.matrix.column(k) == rho.apply(unitVector(dim, k)), (case, b)
+            b0 = set(fr.basis)
+            near = {}
+            for i, a in enumerate(fr.basis):
+                for j in sorted(set(range(matroid.n)) - b0):
+                    s = tuple(sorted(b0 - {a} | {j}))
+                    if s in matroid.basesSet:
+                        near[i, j] = rho.apply(unitVector(dim, fr.index[s]))
+            assert fr.nearBasisImages() == near, case
 
 
 @pytest.mark.parametrize("name,rank", sorted(EXPECTED_FREE_RANK.items()))
@@ -167,16 +208,15 @@ def test_small_foundations_by_type():
 
 def test_cross_ratio_symbol_identities():
     m = namedMatroid("uniform(3,7)")
-    ambient = AmbientSymbolGroup(m)
     fr = computeFoundation(m)
     rng = random.Random(3)
     for _ in range(25):
         i, k1, k2, k3, k4 = rng.sample(range(7), 5)
-        base = crossRatio(ambient, (i,), k1, k2, k3, k4)
+        base = crossRatio(fr.index, (i,), k1, k2, k3, k4)
         # swapping both pairs leaves the symbol unchanged
-        assert crossRatio(ambient, (i,), k2, k1, k4, k3) == base
+        assert crossRatio(fr.index, (i,), k2, k1, k4, k3) == base
         # swapping one pair inverts it (modulo 2 eps in the foundation)
-        flipped = crossRatio(ambient, (i,), k1, k2, k4, k3)
+        flipped = crossRatio(fr.index, (i,), k1, k2, k4, k3)
         lhs = fr.rhoZero.apply(flipped)
         rhs = fr.foundation.group.neg(fr.rhoZero.apply(base))
         assert lhs == rhs
@@ -184,11 +224,11 @@ def test_cross_ratio_symbol_identities():
 
 def test_cross_ratio_degree_zero():
     m = namedMatroid("example52")
-    ambient = AmbientSymbolGroup(m)
-    deg = GroupHom(ambient.pres, GroupPresentation([], 1),
-                   IntMatrix([[0] + [1] * len(ambient.matroid.bases)]))
+    index = symbolIndex(m)
+    deg = GroupHom(GroupPresentation([], 1 + len(index)), GroupPresentation([], 1),
+                   IntMatrix([[0] + [1] * len(m.bases)]))
     graph = m.exchangeGraphAndForest(m.bases[0])
-    cols = list(zip(*tutteRelations(ambient, graph)))
+    cols = list(zip(*tutteRelations(m, index, graph)))
     crossRatios = cols[2:len(cols) - len(graph.forestEdges)]
     assert crossRatios
     assert deg.apply(cols[0]) == (0,)  # 2 eps
@@ -201,9 +241,8 @@ def test_cross_ratio_degree_zero():
 
 def test_cross_ratio_rejects_nonbases():
     m = namedMatroid("fano")
-    ambient = AmbientSymbolGroup(m)
     with pytest.raises(InvalidMatroidError):
-        crossRatioTerms(ambient, (0,), 1, 3, 2, 4)  # {0,1,2} is a nonbasis
+        crossRatioTerms(symbolIndex(m), (0,), 1, 3, 2, 4)  # {0,1,2} is a nonbasis
 
 
 def test_foundation_with_alternate_base_basis():

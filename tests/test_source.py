@@ -178,22 +178,33 @@ def definitions(tree):
                     yield node.name + ".", item
 
 
-def referencedNames(tree):
-    """Every name and attribute the tree reads, with repeats."""
-    return [node.id if isinstance(node, ast.Name) else node.attr for node in ast.walk(tree)
-            if isinstance(node, (ast.Name, ast.Attribute))]
+def referencedNames(tree, attributesOnly):
+    """Every attribute the tree reads, and every name unless attributesOnly,
+    with repeats."""
+    kinds = ast.Attribute if attributesOnly else (ast.Name, ast.Attribute)
+    return [node.attr if isinstance(node, ast.Attribute) else node.id
+            for node in ast.walk(tree) if isinstance(node, kinds)]
 
 
 def test_every_function_is_referenced_in_the_package():
-    """Every top-level function and method (dunders aside) is named somewhere
-    in the package outside its own body, as a name or an attribute, or is
-    listed in UNREFERENCED with its reason; a listed name that gains a use
-    leaves the list."""
+    """Every top-level function and method (dunders aside) is referenced
+    somewhere in the package outside its own body, or is listed in
+    UNREFERENCED with its reason; a listed name that gains a use leaves the
+    list.  A function is referenced by a name or an attribute, a method only
+    by an attribute, so that a local variable of the same name is no use."""
     modules = [tree for _, tree in parsedModules()]
-    total = Counter(name for tree in modules for name in referencedNames(tree))
-    unreferenced = [owner + node.name for tree in modules for owner, node in definitions(tree)
-                    if not (node.name.startswith("__") and node.name.endswith("__"))
-                    and total[node.name] == referencedNames(node).count(node.name)]
+    totals = {attributesOnly: Counter(name for tree in modules
+                                      for name in referencedNames(tree, attributesOnly))
+              for attributesOnly in (False, True)}
+    unreferenced = []
+    for tree in modules:
+        for owner, node in definitions(tree):
+            if node.name.startswith("__") and node.name.endswith("__"):
+                continue
+            attributesOnly = bool(owner)
+            uses = totals[attributesOnly][node.name]
+            if uses == referencedNames(node, attributesOnly).count(node.name):
+                unreferenced.append(owner + node.name)
     assert sorted(unreferenced) == sorted(UNREFERENCED)
 
 

@@ -25,7 +25,7 @@ from foundry.foundation import computeFoundation
 from foundry.matroid import Matroid, namedMatroid
 from foundry.morphism import NotGeneratedByFundamentalElements, fullRankSublattice
 from foundry.pasture import builtinPasture, pastureFromJson
-from foundry.zlattice import IntMatrix, spansLattice
+from foundry.zlattice import spansLattice
 
 FROZEN = json.loads((Path(__file__).parent / "data" / "sublattice_frozen.json").read_text())
 
@@ -74,7 +74,7 @@ def spans(pasture, elements):
     """The span check over these elements, epsilon and the relation columns."""
     group = pasture.group
     columns = list(elements) + [pasture.epsilon] + group.relationColumns()
-    return spansLattice(IntMatrix.fromColumns(columns, dim=group.dim))
+    return spansLattice(columns, group.dim)
 
 
 def test_head_pair_span_check_agrees_with_the_check_on_every_element():
@@ -85,7 +85,7 @@ def test_head_pair_span_check_agrees_with_the_check_on_every_element():
     for case in sorted(FROZEN):
         p = pastureOf(case)
         full = spans(p, p.fundamentalElements())
-        assert spans(p, [x for h in p.hexagons for x in h.pairs[0]]) == full, case
+        assert spans(p, [x for h in p.hexagons for x in h[0]]) == full, case
         if not full:
             refused.append(case)
     assert refused and all(FROZEN[c]["record"] == "not generated" for c in refused)

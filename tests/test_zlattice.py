@@ -7,7 +7,7 @@ import pytest
 from sympy import Matrix
 from sympy.matrices.normalforms import smith_normal_form
 
-from foundry.foundation import AmbientSymbolGroup, tutteRelations
+from foundry.foundation import tutteRelations
 from foundry.zlattice import (
     GroupHom,
     GroupPresentation,
@@ -15,12 +15,11 @@ from foundry.zlattice import (
     ModularSolver,
     cokernelPresentation,
     homFinite,
-    smithForm,
     smithNormalForm,
     solveModular,
     spansLattice,
 )
-from test_foundation import denseRelations
+from test_foundation import denseRelations, symbolIndex
 from test_foundation_frozen import cases as frozenFoundationCases
 from test_foundation_frozen import matroidOf as frozenFoundationMatroid
 
@@ -110,29 +109,10 @@ def test_cokernel_random_structure():
         assert proj.isSurjective()
 
 
-def test_transform_free_kernel_matches_full_form():
-    rng = random.Random(20261018)
-    shapes = [(0, 3), (3, 0), (1, 1)] + [(rng.randint(1, 9), rng.randint(1, 12)) for _ in range(80)]
-    for rows, cols in shapes:
-        a = randomMatrix(rng, rows, cols, bound=rng.choice([1, 3, 30]))
-        if rows == 0:
-            a = IntMatrix([], cols=cols)
-        full = smithNormalForm(a)
-        bare = smithForm(a)
-        assert bare.U is None and bare.V is None
-        assert bare.D == full.D
-        assert bare.diagonal() == full.diagonal()
-        onlyU = smithForm(a, withU=True)
-        assert onlyU.U == full.U and onlyU.V is None and onlyU.D == full.D
-        onlyV = smithForm(a, withV=True)
-        assert onlyV.V == full.V and onlyV.U is None
-        pres, _ = cokernelPresentation(a)
-        assert spansLattice(a) == (pres.dim == 0)
-
-
-def denseSmithForm(a, withU=False, withV=False):
-    """Oracle: the Smith elimination that smithForm replaced, every row and
-    column operation over whole rows and columns."""
+def denseSmithForm(a):
+    """Oracle: the Smith elimination with both transforms that the sparse
+    one replaced, every row and column operation over whole rows and
+    columns."""
 
     def addRow(mat, dst, src, factor):
         mat[dst] = [x + factor * y for x, y in zip(mat[dst], mat[src])]
@@ -147,8 +127,8 @@ def denseSmithForm(a, withU=False, withV=False):
 
     m, n = a.rows, a.cols
     d = [list(row) for row in a.data]
-    u = identity(m).toLists() if withU else [[] for _ in range(m)]
-    v = identity(n).toLists() if withV else []
+    u = identity(m).toLists()
+    v = identity(n).toLists()
     t = 0
     while t < min(m, n):
         best = None
@@ -187,14 +167,12 @@ def denseSmithForm(a, withU=False, withV=False):
             addRow(u, t, offender, 1)
             continue
         t += 1
-    return (IntMatrix(u, cols=m) if withU else None, IntMatrix(d, cols=n),
-            IntMatrix(v, cols=n) if withV else None)
+    return IntMatrix(u, cols=m), IntMatrix(d, cols=n), IntMatrix(v, cols=n)
 
 
 def assertSameSmithForm(a):
-    for withU, withV in itertools.product((False, True), repeat=2):
-        res = smithForm(a, withU=withU, withV=withV)
-        assert (res.U, res.D, res.V) == denseSmithForm(a, withU, withV), (a, withU, withV)
+    res = smithNormalForm(a)
+    assert (res.U, res.D, res.V) == denseSmithForm(a), a
 
 
 def seededMatrices():
@@ -218,7 +196,7 @@ def foundationRelations():
     record, built by the dense definition."""
     for case in frozenFoundationCases():
         m = frozenFoundationMatroid(case)
-        yield case, denseRelations(AmbientSymbolGroup(m), m.exchangeGraphAndForest(m.bases[0]))
+        yield case, denseRelations(m, symbolIndex(m), m.exchangeGraphAndForest(m.bases[0]))
 
 
 def test_smith_form_matches_dense_elimination_on_foundation_relations():
@@ -228,13 +206,13 @@ def test_smith_form_matches_dense_elimination_on_foundation_relations():
 
 def fullFormPresentation(a):
     """Oracle: the cokernel presentation and projection matrix read off the
-    full smithForm(a, withU=True)."""
-    snf = smithForm(a, withU=True)
+    full smithNormalForm(a)."""
+    snf = smithNormalForm(a)
     diag = snf.diagonal()
     torsion = [i for i, x in enumerate(diag) if x >= 2]
     free = [i for i in range(a.rows) if i >= len(diag) or diag[i] == 0]
-    rows = ([[x % diag[i] for x in snf.U.row(i)] for i in torsion]
-            + [snf.U.row(i) for i in free])
+    rows = ([[x % diag[i] for x in snf.U.data[i]] for i in torsion]
+            + [snf.U.data[i] for i in free])
     return (GroupPresentation([diag[i] for i in torsion], len(free)),
             IntMatrix(rows, cols=a.rows))
 
@@ -261,7 +239,7 @@ def test_cokernel_of_foundation_relations_matches_the_full_smith_form():
     kept = {}
     for case, relations in foundationRelations():
         m = frozenFoundationMatroid(case)
-        rows = tutteRelations(AmbientSymbolGroup(m), m.exchangeGraphAndForest(m.bases[0]))
+        rows = tutteRelations(m, symbolIndex(m), m.exchangeGraphAndForest(m.bases[0]))
         assertSameCokernel(relations, rows)
         kept[case] = cokernelPresentation(relations)[1].matrix.rows
     assert kept["fano"] == 0  # a trivial group keeps no row of U
@@ -293,9 +271,9 @@ def test_span_check_matches_smith_definition():
                 columns.append([rng.choice([-3, -1, 2, 7]) * x for x in col])
         rng.shuffle(columns)
         a = IntMatrix.fromColumns(columns, dim=rows)
-        diag = smithForm(a).diagonal()
+        diag = smithNormalForm(a).diagonal()
         expected = len(diag) == a.rows and all(x == 1 for x in diag)
-        assert spansLattice(a) == expected, a
+        assert spansLattice(columns, rows) == expected, a
         spanning += expected
     assert 500 < spanning < 2500
 

@@ -158,8 +158,12 @@ def cmdFoundation(args):
 
 
 def _statsPayload(stats, source):
+    """The search counters, the sublattice's pair counts and leafHeads, the
+    number of source hexagon heads each leaf still checks."""
+    sub = sublatticeOf(source)
     payload = stats.asDict()
-    payload.update(sublatticeOf(source).counts)
+    payload.update(sub.counts)
+    payload["leafHeads"] = len(sub.uncheckedHeads)
     return payload
 
 

@@ -9,6 +9,16 @@ sends every source hexagon head to a fundamental pair, the one part of the
 morphism criterion (isMorphism) that does not hold by construction, and
 only then becomes a GroupHom and a PastureMorphism.
 
+A leaf checks only the heads of the hexagons the search left open
+(SublatticeData.uncheckedHeads).  A hexagon is one closure class of
+fundamental pairs, so a hom that keeps epsilon and sends one of its pairs
+to a fundamental pair sends all of them to fundamental pairs (the closure
+of the image pair, pasture.closureTriple).  Every lift of a leaf agrees
+on the generators and on the torsion, hence on every element that is an
+integer combination of them plus a torsion element; the search already
+matched some pairs of such elements to target pairs on their exact
+images, and their hexagons need no check at the leaf.
+
 The search runs on plain integers.  Each rule target and each half of each
 type-four check is a slot, a torsion constant plus an integer combination
 of the images chosen so far; a sublattice compiles its slots once
@@ -287,6 +297,15 @@ class SublatticeData:
     typeFourLists: per level, entries (c0u, cu, tauU, c0v, cv, tauV) freezing
     the primitive dependency data of pairs that became doubly dependent.
     counts: how many pairs of each kind produced rules or list entries.
+    uncheckedHeads: the heads, in hexagon order, of the hexagons none of
+    whose pairs the search matches on exact images, which every lift of a
+    leaf shares.  A pair (u, v) is matched so when it is a t3 pair (level
+    l + 1 picks y_(l+1) among the partners of y_l), when its t1 or t2 rule
+    has last coefficient +-1 (the rule's slot then fixes the image of the
+    dependent member, and the table lists only its partners), or when its
+    type-four entry has c0u == c0v == 1 (the entry's slots are the images
+    of u and v themselves).  Any lift of a leaf then sends that pair, hence
+    its whole hexagon, to fundamental pairs; _Search.emit checks the rest.
     freeMatrix: A_F, whose columns are the generators' free parts.  Its
     factorisation per modulus, its cokernel, the lift offsets per target
     torsion and the search's slot program are built on first use and kept
@@ -294,14 +313,15 @@ class SublatticeData:
     """
 
     __slots__ = ("generators", "rules", "typeFourLists", "counts", "freeMatrix",
-                 "_coker", "_offsets", "_solvers", "_program")
+                 "uncheckedHeads", "_coker", "_offsets", "_solvers", "_program")
 
-    def __init__(self, generators, rules, typeFourLists, counts, freeMatrix):
+    def __init__(self, generators, rules, typeFourLists, counts, freeMatrix, uncheckedHeads):
         self.generators = generators
         self.rules = rules
         self.typeFourLists = typeFourLists
         self.counts = counts
         self.freeMatrix = freeMatrix
+        self.uncheckedHeads = uncheckedHeads
         self._coker = None
         self._offsets = {}
         self._solvers = {}
@@ -376,6 +396,10 @@ def fullRankSublattice(pasture):
     each direction's coefficients are padded once per level.  Every vector
     kept here is a sparse dict.
 
+    Each t3 pair, each t1 or t2 pair whose rule has c0 == 1 and each
+    type-four pair with c0u == c0v == 1 is recorded, with its swap, as it
+    is used; the hexagons with none of them give uncheckedHeads.
+
     The span check runs on each hexagon's head pair, epsilon and the
     relation columns: every other fundamental element is -x, -y, e + y - x
     or e + x - y for a head (x, y) (pasture.closureTriple), so these span
@@ -431,6 +455,7 @@ def fullRankSublattice(pasture):
     typeFourLists = []
     counts = {"p1": 0, "p2": 0, "p3": 0, "p4": 0}
     consumed = set()  # the record pairs of the pairs used for rules
+    covered = set()  # the pairs the search matches on exact images, both ways round
     zeros = (0,) * r
 
     def becameDependent(d):
@@ -530,9 +555,16 @@ def fullRankSublattice(pasture):
             if (ru.direction.res is not None or rv.direction.res is not None
                     or both in consumed):
                 continue
-            bucket.append(dependency(ru, level) + dependency(rv, level))
+            entry = dependency(ru, level) + dependency(rv, level)
+            if entry[0] == entry[3] == 1:
+                cover(k)
+            bucket.append(entry)
         counts["p4"] += len(bucket)
         typeFourLists.append(bucket)
+
+    def cover(k):
+        covered.add(pairs[k])
+        covered.add(pairs[k][::-1])
 
     def consume(k):
         ru, rv = pairRecords[k]
@@ -571,6 +603,7 @@ def fullRankSublattice(pasture):
             addGenerator(u)
             rules.append(("t3first",))
             consume(t3)
+            cover(t3)
             counts["p3"] += 1
             typeFourLists.append([])
             addGenerator(v)
@@ -586,11 +619,16 @@ def fullRankSublattice(pasture):
             tau = group.neg(tau)
         rules.append((kind, tau, ruleCoeffs))
         consume(k)
+        if c0 == 1:
+            cover(k)
         counts[count] += 1
         recordNewTypeFour()
     freeMatrix = IntMatrix.fromColumns([group.freePart(x) for x in generators], dim=r)
+    # covered is closed under swapping, so a hexagon has a covered pair
+    # exactly when one of its closure triple's three pairs is covered
+    uncheckedHeads = tuple(h[0] for h in pasture.hexagons if covered.isdisjoint(h))
     return SublatticeData(tuple(generators), tuple(rules), tuple(typeFourLists), counts,
-                          freeMatrix)
+                          freeMatrix, uncheckedHeads)
 
 
 def sublatticeOf(pasture):
@@ -713,7 +751,7 @@ class _Search:
         self.fundamentalElements = p2.fundamentalElements()
         self.partners = p2._partners
         self.pairs = p2.pairSet()
-        self.heads = tuple(h[0] for h in p1.hexagons)
+        self.heads = sub.uncheckedHeads
         self.levels = tuple(
             (kind, ruleRead, p2.ruleCandidates(ruleCoeffs) if ruleCoeffs else None,
              tuple((((kU, uPrev, uL), (kV, vPrev, vL)), p2.scaledPairs(c0u, c0v))
@@ -794,10 +832,15 @@ class _Search:
         epsilon is kept, as both epsilons are 2-torsion (free coordinates 0)
         and psi(eps1) == eps2 (torsionHoms), and the lift is well-defined,
         as each torsion column is one of psi (a homFinite hom) over zeros.
-        searchMorphisms checked the other shapes an isomorphism needs.  The
-        heads are mapped by dot products with the rows, torsion coordinates
-        reduced mod their invariant; only a lift that passes becomes a
-        GroupHom, and its rows are already canonical.
+        searchMorphisms checked the other shapes an isomorphism needs.  Of
+        the heads, only those of sub.uncheckedHeads can fail: every other
+        hexagon has a pair that the search matched to a target pair on
+        images all of the leaf's lifts share, and a hom keeping epsilon
+        that sends one pair of a closure class to a fundamental pair sends
+        the whole class to its closure.  The heads are mapped by dot
+        products with the rows, torsion coordinates reduced mod their
+        invariant; only a lift that passes becomes a GroupHom, and its rows
+        are already canonical, so its IntMatrix takes them as they are.
         """
         mods, pairs = self.mods, self.pairs
         for x, y in self.heads:
@@ -808,7 +851,8 @@ class _Search:
                 return False
         found = self.found
         if found is not None:  # a counting search never restricts to isomorphisms
-            hom = GroupHom(self.p1.group, self.p2.group, IntMatrix(rows, cols=self.p1.group.dim))
+            hom = GroupHom(self.p1.group, self.p2.group,
+                           IntMatrix.fromRows(rows, self.p1.group.dim))
             if self.findIso and not hom.isSurjective():
                 return False
             if len(found) == MAX_MORPHISMS:
@@ -844,8 +888,9 @@ def searchMorphisms(p1, p2, findOne=False, findIso=False, stats=None):
     Type-four entries are checked in order and stop at the first that fails;
     each costs a multiply-add per coordinate and half and one lookup in the
     target's scaled pairs.  A leaf's lifts are kept when they send each
-    source hexagon head to a fundamental pair; the rest of isMorphism holds
-    by construction.
+    source hexagon head to a fundamental pair, which the leaf checks only
+    for the heads the search left open (SublatticeData.uncheckedHeads); the
+    rest of isMorphism holds by construction.
 
     findOne stops at the first valid morphism in search order.  findIso
     restricts to isomorphisms: torsion blocks must be bijective, candidate

@@ -112,9 +112,13 @@ def gpToMatrix(foundationResult, morphism):
     if target.field is None:
         raise ValueError("morphism target %r has no attached field" % (target.name,))
     row, = morphism.matrix.data or ((),)
-    rows = [[1 if j == a else 0 for j in range(fr.matroid.n)] for a in fr.basis]
+    exp = target.field.exp
+    rows = []
+    for a in fr.basis:
+        rows.append([0] * fr.matroid.n)
+        rows[-1][a] = 1
     for (i, j), v in fr.nearBasisImages().items():
-        rows[i][j] = target.field.exp(sum(map(mul, row, v)))
+        rows[i][j] = exp(sum(map(mul, row, v)))
     return tuple(map(tuple, rows))
 
 

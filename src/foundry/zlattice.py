@@ -36,6 +36,16 @@ class IntMatrix:
         raise AttributeError("IntMatrix is immutable")
 
     @classmethod
+    def fromRows(cls, data, cols):
+        """The matrix of data taken as it is, without a check: for rows
+        already built as a tuple of int tuples, each of length cols."""
+        m = cls.__new__(cls)
+        object.__setattr__(m, "rows", len(data))
+        object.__setattr__(m, "cols", cols)
+        object.__setattr__(m, "data", data)
+        return m
+
+    @classmethod
     def fromColumns(cls, columns, dim=None):
         """Build a matrix whose j-th column is columns[j] (each of length dim)."""
         columns = [tuple(c) for c in columns]
@@ -456,11 +466,20 @@ def cokernelPresentation(relations):
 class ModularSolver:
     """Solutions x (length a.rows) of x @ A == B modulo n for one fixed A.
 
-    A is factored once, so each right-hand side costs two matrix-vector
-    products.  n == 0 means solve over the integers.
+    W is A, stacked on n times the identity when n > 0, so that the
+    system is x' @ W == B over Z with x the first a.rows coordinates of x'.
+    With U @ W^T @ V == D (smithNormalForm), x' = V z where
+    z_i = (U B)_i / d_i; there is no solution when some d_i does not divide
+    (U B)_i, or some zero d_i meets a nonzero (U B)_i.  W is factored once,
+    and __init__ keeps exactly what a solve reads: the rows of U, the
+    diagonal padded with zeros to one entry per row of U, and the first
+    a.rows rows of V cut to its leading columns, one per row of U, as z is
+    zero past them.  Each right-hand side then costs two matrix-vector
+    products over plain tuples, the arithmetic of the full form, so every
+    B gets the same solution.  n == 0 means solve over the integers.
     """
 
-    __slots__ = ("n", "cols", "U", "diag", "V")
+    __slots__ = ("n", "cols", "steps", "vRows")
 
     def __init__(self, a, n):
         if n < 0:
@@ -471,32 +490,34 @@ class ModularSolver:
             work = a.vstack(scaled)
         # x @ work == b  <=>  work^T @ x^T == b^T
         snf = smithNormalForm(work.transpose())
+        diag = snf.diagonal()
         self.n = n
         self.cols = a.cols
-        self.U = snf.U
-        self.diag = snf.diagonal()
+        # (row of U, its diagonal entry), one per coordinate of U b
+        self.steps = tuple(zip(snf.U.data, diag + (0,) * (snf.U.rows - len(diag))))
         # only the first a.rows coordinates of a solution are x itself
-        self.V = IntMatrix(snf.V.data[:a.rows], cols=snf.V.cols)
+        self.vRows = tuple(row[:snf.U.rows] for row in snf.V.data[:a.rows])
 
     def solve(self, b):
-        """One solution x for the right-hand side B (length a.cols), or None."""
-        b = tuple(int(x) for x in b)
+        """One solution x for the right-hand side B (a sequence of a.cols
+        ints), or None."""
         if len(b) != self.cols:
             raise ValueError("right-hand side has wrong length")
-        c = self.U.mulVector(b)
-        z = [0] * self.V.cols
-        for i, ci in enumerate(c):
-            d = self.diag[i] if i < len(self.diag) else 0
+        z = []
+        for row, d in self.steps:
+            c = sum(map(mul, row, b))
             if d:
-                if ci % d:
+                if c % d:
                     return None
-                z[i] = ci // d
-            elif ci:
+                z.append(c // d)
+            elif c:
                 return None
-        x = self.V.mulVector(z)
-        if self.n:
-            x = tuple(e % self.n for e in x)
-        return tuple(x)
+            else:
+                z.append(0)
+        n = self.n
+        if n:
+            return tuple([sum(map(mul, row, z)) % n for row in self.vRows])
+        return tuple([sum(map(mul, row, z)) for row in self.vRows])
 
 
 def solveModular(a, b, n):

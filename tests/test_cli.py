@@ -89,6 +89,19 @@ def test_morphisms_count_and_stats(capsys):
     assert doc["stats"]["p1"] + doc["stats"]["p2"] + 2 * doc["stats"]["p3"] == 7
 
 
+@pytest.mark.parametrize("matroid, field, heads", [("example52", "gf:7", 2),
+                                                   ("pappus", "gf:8", 0)])
+def test_morphisms_stats_report_the_heads_a_leaf_checks(capsys, matroid, field, heads):
+    """leafHeads counts the source hexagon heads that no rule, pair or
+    type-four entry of the search covers, in text and in JSON."""
+    argv = ["morphisms", "--matroid", matroid, "--target", field, "--count", "--stats"]
+    code, doc = runJson(capsys, argv + ["--output", "json"])
+    assert code == 0
+    assert doc["stats"]["leafHeads"] == heads
+    assert run(argv) == 0
+    assert ", leafHeads=%d, " % heads in capsys.readouterr().out.splitlines()[-1]
+
+
 def test_morphisms_count_keeps_no_maps(capsys, monkeypatch):
     """--count reads the count off the search counters: it keeps no map, so
     the listing ceiling does not apply, and prints what a listing counts."""

@@ -20,7 +20,13 @@ import pytest
 import foundry.morphism
 from foundry.foundation import computeFoundation
 from foundry.matroid import namedMatroid
-from foundry.morphism import PastureMorphism, SearchStats, isMorphism, searchMorphisms
+from foundry.morphism import (
+    PastureMorphism,
+    SearchStats,
+    isMorphism,
+    searchMorphisms,
+    sublatticeOf,
+)
 from foundry.pasture import builtinPasture, gfPasture
 from foundry.zlattice import GroupHom, IntMatrix
 
@@ -65,10 +71,22 @@ def oracleKeys(p1, p2, lifts, findIso):
                   if isMorphism(f) and (not findIso or f.hom.isSurjective()))
 
 
+def coveredHeadFailures(p1, p2, lifts):
+    """(lift, head) for every lift that sends the head of a hexagon outside
+    the sublattice's uncheckedHeads off the target's fundamental pairs,
+    which the search checks for no leaf."""
+    unchecked = set(sublatticeOf(p1).uncheckedHeads)
+    covered = [h[0] for h in p1.hexagons if h[0] not in unchecked]
+    pairs = p2.pairSet()
+    return [(h, (x, y)) for h in lifts for x, y in covered
+            if (h.apply(x), h.apply(y)) not in pairs]
+
+
 @pytest.mark.parametrize("source", sorted({case.split(">")[0] for case in FROZEN}))
 def test_search_matches_frozen_record(source, assembled):
     """Also checks, on every case, that every lift a leaf assembles is
-    canonical as built and that no morphism is returned twice, since the
+    canonical as built and sends every hexagon the search covered to
+    fundamental pairs, that no morphism is returned twice, since the
     search keeps no duplicate filter; and, when the whole search runs (no
     findOne), that the maps returned are exactly the lifts that pass
     isMorphism, since the search itself checks only the hexagon heads."""
@@ -86,6 +104,7 @@ def test_search_matches_frozen_record(source, assembled):
                len(keys), digest]
         assert got == FROZEN[case], case
         assert all(h.matrix == h.canonicalMatrix() for h in assembled), case
+        assert coveredHeadFailures(sourceOf(source), pasture(target), assembled) == [], case
         assert len(set(keys)) == len(keys), case
         if not findOne:
             assert oracleKeys(sourceOf(source), pasture(target), assembled, findIso) == keys, case
@@ -98,3 +117,34 @@ def test_search_keeps_exactly_the_lifts_that_pass_is_morphism(name, assembled):
     source, target = pasture("F:" + name), pasture("gf16")
     keys = [m.sortKey() for m in searchMorphisms(source, target)]
     assert oracleKeys(source, target, assembled, False) == keys
+
+
+# How many hexagon heads each leaf checks, per catalogue foundation: the
+# hexagons with no pair that the search matches on images every lift of a
+# leaf shares.
+UNCHECKED_HEADS = {
+    "example52": 2, "fano": 0, "nonfano": 0, "pappus": 0, "nonpappus": 0, "vamos": 0,
+    "ag23": 1, "t8": 1, "uniform:2,4": 0, "uniform:2,5": 0, "uniform:3,6": 0,
+    "uniform:3,7": 0,
+}
+
+
+def test_unchecked_heads_per_catalogue_foundation():
+    got = {name: len(sublatticeOf(pasture("F:" + name)).uncheckedHeads)
+           for name in UNCHECKED_HEADS}
+    assert got == UNCHECKED_HEADS
+
+
+@pytest.mark.parametrize("name", ["example52", "fano", "nonfano", "pappus", "nonpappus",
+                                  "vamos", "ag23", "t8", "uniform:2,4", "uniform:2,5"])
+def test_covered_hexagons_hold_on_every_lift_into_small_fields(name, assembled):
+    """Every lift a leaf assembles into GF(q), q <= 16, sends the head of
+    every hexagon outside uncheckedHeads to a fundamental pair, so emit may
+    skip them.  U(3,6) and U(3,7) have more maps into these fields than a
+    listing keeps."""
+    source = pasture("F:" + name)
+    for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16):
+        assembled.clear()
+        target = pasture("gf%d" % q)
+        searchMorphisms(source, target)
+        assert coveredHeadFailures(source, target, assembled) == [], q

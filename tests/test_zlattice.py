@@ -2,12 +2,16 @@ import itertools
 import random
 from collections import Counter
 from math import prod
+from operator import mul
 
 import pytest
-from sympy import Matrix
+from sympy import Matrix, factorint
 from sympy.matrices.normalforms import smith_normal_form
 
-from foundry.foundation import tutteRelations
+from foundry.foundation import computeFoundation, tutteRelations
+from foundry.matroid import namedMatroid
+from foundry.morphism import searchMorphisms, sublatticeOf
+from foundry.pasture import builtinPasture, gfPasture
 from foundry.zlattice import (
     GroupHom,
     GroupPresentation,
@@ -312,6 +316,47 @@ def test_factored_solver_gives_the_reference_solution():
         ModularSolver(IntMatrix([[1]]), -1)
     with pytest.raises(ValueError):
         ModularSolver(IntMatrix([[1]]), 0).solve((1, 2))
+
+
+PRIME_POWERS = tuple(q for q in range(2, 100) if len(factorint(q)) == 1)
+
+
+@pytest.mark.parametrize("name", ["example52", "fano", "nonfano", "pappus", "nonpappus",
+                                  "vamos", "ag23", "t8", "uniform:2,4", "uniform:2,5"])
+def test_factored_solver_gives_the_reference_solution_on_catalogue_sublattices(
+        name, monkeypatch):
+    """On each catalogue foundation's A_F, for n == 0 and every modulus
+    q - 1 with q < 100 a prime power, the solver gives referenceSolve's
+    solution: on every right-hand side that a leaf of a search into GF(q),
+    q <= 16, or into U or D solves, and on seeded random ones, solvable
+    and not.  This pins each leaf's particular solution, and so the lift
+    order, on real sublattices."""
+    source = computeFoundation(namedMatroid(name)).foundation
+    a = sublatticeOf(source).freeMatrix
+    leafSides = {}
+    solve = ModularSolver.solve
+
+    def recordingSolve(solver, b):
+        leafSides.setdefault(solver.n, set()).add(tuple(b))
+        return solve(solver, b)
+
+    monkeypatch.setattr(ModularSolver, "solve", recordingSolve)
+    for target in ([gfPasture(q) for q in PRIME_POWERS if q <= 16]
+                   + [builtinPasture("U"), builtinPasture("D")]):
+        searchMorphisms(source, target)
+    monkeypatch.undo()
+    assert bool(leafSides) == (name not in ("nonpappus", "vamos"))
+    rng = random.Random(name)
+    for n in (0,) + tuple(q - 1 for q in PRIME_POWERS):
+        solver = ModularSolver(a, n)
+        bound = n or 20
+        sides = sorted(leafSides.get(n, ()))
+        for _ in range(3):
+            x = [rng.randrange(-bound, bound) for _ in range(a.rows)]
+            sides.append(tuple(sum(map(mul, x, col)) for col in a.columns()))
+            sides.append(tuple(rng.randrange(-bound, bound) for _ in range(a.cols)))
+        for b in sides:
+            assert solver.solve(b) == referenceSolve(a, b, n), (n, b)
 
 
 def bruteSolveMod(a, b, n):

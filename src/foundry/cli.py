@@ -151,7 +151,7 @@ def cmdFoundation(args):
                             " (" + ", ".join("%s:%d" % (t, counts[t])
                                              for t in sorted(counts)) + ")"
                             if counts else ""),
-        "fundamental elements: %d" % len(p.fundamentalElements()),
+        "fundamental elements: %d" % len(p.partners),
     ]
     emit(args, foundationResultToJson(fr), "\n".join(lines))
     return 0

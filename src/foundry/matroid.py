@@ -13,6 +13,7 @@ import functools
 import itertools
 import math
 import operator
+from collections import deque
 
 # The most r-subsets a ground set may have (and the most elements it may
 # have).  Bases, nonbases and rank queries all enumerate or store r-subsets,
@@ -205,33 +206,29 @@ class Matroid:
         return tuple(sorted(flats))
 
     def exchangeGraphAndForest(self, basis):
+        # (a, b) is an edge when B0 - a + b is a basis mask; the edges come
+        # in lex order, so each neighbour list is built sorted
         b0 = tuple(sorted(basis))
         if b0 not in self.basesSet:
             raise InvalidMatroidError("%r is not a basis" % (b0,))
-        left = list(b0)
-        right = [e for e in range(self.n) if e not in set(b0)]
-        edges = set()
-        for a in left:
-            kept = set(b0) - {a}
-            for b in right:
-                if tuple(sorted(kept | {b})) in self.basesSet:
-                    edges.add((a, b))
-        neighbors = {v: [] for v in left + right}
-        for a, b in sorted(edges):
+        mask0 = sum(1 << e for e in b0)
+        masks = set(self._masks)
+        right = [e for e in range(self.n) if not mask0 >> e & 1]
+        edges = [(a, b) for a in b0 for b in right if mask0 ^ 1 << a | 1 << b in masks]
+        neighbors = {v: [] for v in b0 + tuple(right)}
+        for a, b in edges:
             neighbors[a].append(b)
             neighbors[b].append(a)
-        for v in neighbors:
-            neighbors[v].sort()
         visited = set()
         forest = []
-        for root in left:
+        for root in b0:
             if root in visited:
                 continue
             visited.add(root)
-            queue = [root]
+            queue = deque([root])
             while queue:
-                v = queue.pop(0)
-                onLeft = v in set(b0)
+                v = queue.popleft()
+                onLeft = mask0 >> v & 1
                 for w in neighbors[v]:
                     if w in visited:
                         continue

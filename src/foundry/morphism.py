@@ -24,9 +24,11 @@ type-four check is a slot, a torsion constant plus an integer combination
 of the images chosen so far; a sublattice compiles its slots once
 (SlotProgram), and the search carries their partial sums down the tree as
 one list of ints per target coordinate.  Candidates come from tables that
-the target pasture builds once and keeps (Pasture.ruleCandidates and
-Pasture.scaledPairs), so repeated searches into one target, such as the
-shared gfPasture(q), pay for them once.  Fields (one coordinate), GF(2) and
+this module builds into the target once (ruleCandidates and scaledPairs),
+so repeated searches into one target, such as the shared gfPasture(q), pay
+for them once.  Their order fixes the enumeration order.  The tables and a
+source's sublattice (sublatticeOf) live in the pasture's search slot, which
+only this module fills (SearchTables).  Fields (one coordinate), GF(2) and
 krasner (none) and targets with free rank all run this one path.
 
 A listing keeps at most MAX_MORPHISMS maps; countMorphisms keeps none.
@@ -121,7 +123,7 @@ def isMorphism(f):
         return False
     if f.apply(f.source.epsilon) != f.target.epsilon:
         return False
-    pairs = f.target.pairSet()
+    pairs = f.target.pairs
     for h in f.source.hexagons:
         x, y = h[0]
         if (f.apply(x), f.apply(y)) not in pairs:
@@ -134,7 +136,7 @@ def _sameShape(p1, p2):
     fundamental-pair count, as isomorphic pastures must."""
     return (p1.group.invariants == p2.group.invariants
             and p1.group.freeRank == p2.group.freeRank
-            and len(p1.pairSet()) == len(p2.pairSet()))
+            and len(p1.pairs) == len(p2.pairs))
 
 
 def isIsomorphism(f):
@@ -306,6 +308,8 @@ class SublatticeData:
     type-four entry has c0u == c0v == 1 (the entry's slots are the images
     of u and v themselves).  Any lift of a leaf then sends that pair, hence
     its whole hexagon, to fundamental pairs; _Search.emit checks the rest.
+    The construction keeps the matched hexagons as indices into
+    pasture.hexagons, read off Pasture.pairs, and leaves out their heads.
     freeMatrix: A_F, whose columns are the generators' free parts.  Its
     factorisation per modulus, its cokernel, the lift offsets per target
     torsion and the search's slot program are built on first use and kept
@@ -396,9 +400,10 @@ def fullRankSublattice(pasture):
     each direction's coefficients are padded once per level.  Every vector
     kept here is a sparse dict.
 
-    Each t3 pair, each t1 or t2 pair whose rule has c0 == 1 and each
-    type-four pair with c0u == c0v == 1 is recorded, with its swap, as it
-    is used; the hexagons with none of them give uncheckedHeads.
+    The hexagon of each t3 pair, of each t1 or t2 pair whose rule has
+    c0 == 1 and of each type-four pair with c0u == c0v == 1 is recorded by
+    its index (Pasture.pairs) as the pair is used; the hexagons not recorded
+    give uncheckedHeads.
 
     The span check runs on each hexagon's head pair, epsilon and the
     relation columns: every other fundamental element is -x, -y, e + y - x
@@ -417,7 +422,8 @@ def fullRankSublattice(pasture):
             "%s is not generated by its fundamental elements and epsilon"
             % (pasture.name or "pasture",))
 
-    pairs = pasture.fundamentalPairs()
+    pairs = tuple(pasture.pairs)
+    hexagonOf = tuple(pasture.pairs.values())
     records = {}
     directions = {}  # free part -> (direction, sign of the free part against it)
     allDirections = []
@@ -455,7 +461,7 @@ def fullRankSublattice(pasture):
     typeFourLists = []
     counts = {"p1": 0, "p2": 0, "p3": 0, "p4": 0}
     consumed = set()  # the record pairs of the pairs used for rules
-    covered = set()  # the pairs the search matches on exact images, both ways round
+    covered = set()  # the hexagons of the pairs the search matches on exact images
     zeros = (0,) * r
 
     def becameDependent(d):
@@ -557,14 +563,10 @@ def fullRankSublattice(pasture):
                 continue
             entry = dependency(ru, level) + dependency(rv, level)
             if entry[0] == entry[3] == 1:
-                cover(k)
+                covered.add(hexagonOf[k])
             bucket.append(entry)
         counts["p4"] += len(bucket)
         typeFourLists.append(bucket)
-
-    def cover(k):
-        covered.add(pairs[k])
-        covered.add(pairs[k][::-1])
 
     def consume(k):
         ru, rv = pairRecords[k]
@@ -603,7 +605,7 @@ def fullRankSublattice(pasture):
             addGenerator(u)
             rules.append(("t3first",))
             consume(t3)
-            cover(t3)
+            covered.add(hexagonOf[t3])
             counts["p3"] += 1
             typeFourLists.append([])
             addGenerator(v)
@@ -620,21 +622,78 @@ def fullRankSublattice(pasture):
         rules.append((kind, tau, ruleCoeffs))
         consume(k)
         if c0 == 1:
-            cover(k)
+            covered.add(hexagonOf[k])
         counts[count] += 1
         recordNewTypeFour()
     freeMatrix = IntMatrix.fromColumns([group.freePart(x) for x in generators], dim=r)
-    # covered is closed under swapping, so a hexagon has a covered pair
-    # exactly when one of its closure triple's three pairs is covered
-    uncheckedHeads = tuple(h[0] for h in pasture.hexagons if covered.isdisjoint(h))
+    uncheckedHeads = tuple(h[0] for i, h in enumerate(pasture.hexagons) if i not in covered)
     return SublatticeData(tuple(generators), tuple(rules), tuple(typeFourLists), counts,
                           freeMatrix, uncheckedHeads)
 
 
+class SearchTables:
+    """A pasture's search slot: the sublattice out of it (sublatticeOf) and
+    the tables into it (ruleCandidates, scaledPairs), each about one entry
+    per fundamental pair; gfPasture weighs a field by their number."""
+
+    __slots__ = ("sublattice", "rules", "scaled")
+
+    def __init__(self):
+        self.sublattice = None
+        self.rules = {}
+        self.scaled = {}
+
+    def __len__(self):
+        return len(self.rules) + len(self.scaled)
+
+
+def _searchTables(pasture):
+    """The pasture's SearchTables, made on first use."""
+    if pasture.search is None:
+        pasture.search = SearchTables()
+    return pasture.search
+
+
 def sublatticeOf(pasture):
-    if pasture._sublattice is None:
-        pasture._sublattice = fullRankSublattice(pasture)
-    return pasture._sublattice
+    tables = _searchTables(pasture)
+    if tables.sublattice is None:
+        tables.sublattice = fullRankSublattice(pasture)
+    return tables.sublattice
+
+
+def ruleCandidates(pasture, coeffs):
+    """The search's candidate table for a sublattice rule with these
+    coefficients, keyed by the value of the rule's slot.  One coefficient
+    c: c * x -> the partners of every such x, in Pasture.partners order.
+    Two (c, d): c * x + d * y -> the first member x of every such
+    fundamental pair, in Pasture.pairs order."""
+    tables = _searchTables(pasture).rules
+    table = tables.get(coeffs)
+    if table is None:
+        g = pasture.group
+        table = {}
+        if len(coeffs) == 1:
+            c, = coeffs
+            for x, ys in pasture.partners.items():
+                table.setdefault(g.scale(c, x), {}).update(dict.fromkeys(ys))
+        else:
+            c, d = coeffs
+            for x, y in pasture.pairs:
+                table.setdefault(g.add(g.scale(c, x), g.scale(d, y)), {})[x] = None
+        table = tables[coeffs] = {k: tuple(v) for k, v in table.items()}
+    return table
+
+
+def scaledPairs(pasture, c, d):
+    """The fundamental pairs (x, y) scaled to (c * x, d * y), each
+    flattened into one tuple, as a set."""
+    tables = _searchTables(pasture).scaled
+    pairs = tables.get((c, d))
+    if pairs is None:
+        g = pasture.group
+        pairs = tables[c, d] = frozenset(
+            g.scale(c, x) + g.scale(d, y) for x, y in pasture.pairs)
+    return pairs
 
 
 def torsionHoms(p1, p2, isoOnly=False):
@@ -731,15 +790,15 @@ class _Search:
     ints per target coordinate, torsion coordinates reduced mod a_i and free
     ones unreduced (modulus 0 below), and images are coordinate tuples.
     Candidates come from the target's partner table and, for every t1/t2
-    rule, from the target's table of the candidates of each value of its
-    slot.  A type-four entry looks its pair (yU, yV), flattened into one
-    tuple, up in the target's fundamental pairs scaled by (c0u, c0v).  The
-    kept maps are collected in found, or only counted when found is None.
+    rule, from its table of the candidates of each value of the rule's slot
+    (ruleCandidates).  A type-four entry looks its pair (yU, yV), flattened
+    into one tuple, up in the target's fundamental pairs scaled by
+    (c0u, c0v) (scaledPairs).  The kept maps are collected in found, or
+    only counted when found is None.
     """
 
-    __slots__ = ("p1", "p2", "sub", "findOne", "findIso", "stats", "found", "mods",
-                 "freeStart", "fundamentalElements", "partners", "pairs", "heads", "levels",
-                 "images", "psiRows", "psiImages")
+    __slots__ = ("p1", "p2", "sub", "findOne", "findIso", "stats", "found", "mods", "freeStart",
+                 "partners", "pairs", "heads", "levels", "images", "psiRows", "psiImages")
 
     def __init__(self, p1, p2, sub, findOne, findIso, stats, keep):
         self.p1, self.p2, self.sub = p1, p2, sub
@@ -748,13 +807,12 @@ class _Search:
         g2 = p2.group
         self.mods = g2.invariants + (0,) * g2.freeRank
         self.freeStart = len(g2.invariants)
-        self.fundamentalElements = p2.fundamentalElements()
-        self.partners = p2._partners
-        self.pairs = p2.pairSet()
+        self.partners = p2.partners
+        self.pairs = p2.pairs
         self.heads = sub.uncheckedHeads
         self.levels = tuple(
-            (kind, ruleRead, p2.ruleCandidates(ruleCoeffs) if ruleCoeffs else None,
-             tuple((((kU, uPrev, uL), (kV, vPrev, vL)), p2.scaledPairs(c0u, c0v))
+            (kind, ruleRead, ruleCandidates(p2, ruleCoeffs) if ruleCoeffs else None,
+             tuple((((kU, uPrev, uL), (kV, vPrev, vL)), scaledPairs(p2, c0u, c0v))
                    for kU, uPrev, uL, kV, vPrev, vL, c0u, c0v in entries),
              carry)
             for kind, ruleRead, ruleCoeffs, entries, carry in sub.program().levels)
@@ -793,7 +851,7 @@ class _Search:
                            for row, p, m in zip(above, parent, mods)])
             candidates = table.get(value, ())
         elif kind == "t3first":
-            candidates = self.fundamentalElements
+            candidates = self.partners
         else:
             candidates = self.partners[parent]
         rows = None
@@ -884,7 +942,7 @@ def searchMorphisms(p1, p2, findOne=False, findIso=False, stats=None):
     For each torsion block psi, a depth-first search picks the image of one
     sublattice generator per level, carrying the values of the sublattice's
     SlotProgram down the tree.  Rule candidates come from the target's
-    partner table and its t1 and t2 tables (Pasture.ruleCandidates).
+    partner table and its t1 and t2 tables (ruleCandidates).
     Type-four entries are checked in order and stop at the first that fails;
     each costs a multiply-add per coordinate and half and one lookup in the
     target's scaled pairs.  A leaf's lifts are kept when they send each

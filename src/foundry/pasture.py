@@ -6,7 +6,11 @@ and its hexagons: the equivalence classes of fundamental pairs (x, y) with
 x + y = 1, each a canonical closure triple of three pairs (hexagonClosure).
 Elements are coordinate tuples; the pasture's multiplication is the group
 addition.  The three-term nullset is determined by epsilon and the
-fundamental pairs, so no separate nullset data is stored.
+fundamental pairs, so no separate nullset data is stored.  A Pasture keeps
+pairs, one ordered map from each oriented fundamental pair to its hexagon's
+index (hexagons in order, each pair then its swap, the first time seen), and
+partners, each fundamental element's partners, keyed and listed in sorted
+order.  Its search slot is None until morphism.py fills it.
 """
 
 from __future__ import annotations
@@ -72,8 +76,7 @@ def hexagonType(hexagon):
 class Pasture:
     """A finitely presented pasture with canonicalized hexagons."""
 
-    __slots__ = ("group", "epsilon", "hexagons", "name", "field", "_pairs", "_pairSet",
-                 "_partners", "_ruleTables", "_scaledPairs", "_sublattice")
+    __slots__ = ("group", "epsilon", "hexagons", "name", "field", "pairs", "partners", "search")
 
     def __init__(self, group, epsilon, hexagonHeads, name=None, field=None):
         self.group = group
@@ -86,65 +89,17 @@ class Pasture:
         self.hexagons = tuple(sorted(hexes))
         self.name = name
         self.field = field
-        # the oriented pairs in scan order (each pair, then its swap, the
-        # first time it is seen), and each fundamental element's partners,
-        # keyed and listed in sorted order
-        self._pairs = tuple(dict.fromkeys(p for h in self.hexagons for x, y in h
-                                          for p in ((x, y), (y, x))))
-        self._pairSet = frozenset(self._pairs)
+        # a pair lies in one hexagon only, so a repeat keeps its first place
+        self.pairs = {p: k for k, h in enumerate(self.hexagons) for x, y in h
+                      for p in ((x, y), (y, x))}
         partners = {}
-        for x, y in sorted(self._pairs):
+        for x, y in sorted(self.pairs):
             partners.setdefault(x, []).append(y)
-        self._partners = {x: tuple(ys) for x, ys in partners.items()}
-        # the morphism search's tables into this pasture and its sublattice
-        # out of it, each built on first use and then only read
-        self._ruleTables = {}
-        self._scaledPairs = {}
-        self._sublattice = None
-
-    def fundamentalPairs(self):
-        """All oriented fundamental pairs in deterministic scan order."""
-        return self._pairs
-
-    def pairSet(self):
-        return self._pairSet
-
-    def fundamentalElements(self):
-        return tuple(self._partners)
+        self.partners = {x: tuple(ys) for x, ys in partners.items()}
+        self.search = None
 
     def partnersOf(self, x):
-        return self._partners.get(self.group.reduce(x), ())
-
-    def ruleCandidates(self, coeffs):
-        """The morphism search's candidate table for a sublattice rule with
-        these coefficients, keyed by the value of the rule's slot.  One
-        coefficient c: c * x -> the partners of every such x, in
-        fundamentalElements order.  Two (c, d): c * x + d * y -> the first
-        member x of every such fundamental pair, in scan order."""
-        table = self._ruleTables.get(coeffs)
-        if table is None:
-            g = self.group
-            table = {}
-            if len(coeffs) == 1:
-                c, = coeffs
-                for x, ys in self._partners.items():
-                    table.setdefault(g.scale(c, x), {}).update(dict.fromkeys(ys))
-            else:
-                c, d = coeffs
-                for x, y in self._pairs:
-                    table.setdefault(g.add(g.scale(c, x), g.scale(d, y)), {})[x] = None
-            table = self._ruleTables[coeffs] = {k: tuple(v) for k, v in table.items()}
-        return table
-
-    def scaledPairs(self, c, d):
-        """The fundamental pairs (x, y) scaled to (c * x, d * y), each
-        flattened into one tuple, as a set."""
-        pairs = self._scaledPairs.get((c, d))
-        if pairs is None:
-            g = self.group
-            pairs = self._scaledPairs[c, d] = frozenset(
-                g.scale(c, x) + g.scale(d, y) for x, y in self._pairs)
-        return pairs
+        return self.partners.get(self.group.reduce(x), ())
 
     def hexagonTypes(self):
         return tuple(hexagonType(h) for h in self.hexagons)
@@ -163,7 +118,7 @@ class Pasture:
         a, b, c = terms
         shift = self.group.add(self.epsilon, self.group.neg(c))
         pair = (self.group.add(a, shift), self.group.add(b, shift))
-        return pair in self._pairSet
+        return pair in self.pairs
 
     def __eq__(self, other):
         return (
@@ -182,7 +137,7 @@ class Pasture:
 
 
 # gfPasture's pastures by q, least recently used first.  Nothing changes a
-# Pasture after __init__ but its write-once caches, so each can be shared.
+# Pasture after __init__ but what the search fills in, so each can be shared.
 # The cached fields weigh at most MAX_FIELD_ORDER in all (see _weight), about
 # one largest field's worth.
 _fieldPastures = {}
@@ -191,17 +146,17 @@ _fieldPastures = {}
 def _weight(pasture):
     """A cached field's size in units of q: its own tables and each of the
     search tables built into it, all of which hold about q entries."""
-    return pasture.field.q * (1 + len(pasture._ruleTables) + len(pasture._scaledPairs))
+    return pasture.field.q * (1 + len(pasture.search or ()))
 
 
 def gfPasture(q):
     """The pasture of GF(q): units Z/(q-1), epsilon = log(-1), field hexagons.
 
-    Built once per q and kept, with the search tables built into it.  Each
+    Built once per q and kept, with what the search builds into it.  Each
     call evicts the fields used least recently until the cached weights sum
     to at most MAX_FIELD_ORDER; the field returned stays, and if it alone
-    weighs more, its search tables are dropped (a search already running
-    keeps the tables it looked up).
+    weighs more, what the search built into it is dropped (a search already
+    running keeps the tables it looked up).
     """
     pasture = _fieldPastures.pop(q, None)
     if pasture is None:
@@ -210,8 +165,7 @@ def gfPasture(q):
     while _fieldPastures and total > MAX_FIELD_ORDER:
         total -= _weight(_fieldPastures.pop(next(iter(_fieldPastures))))
     if total > MAX_FIELD_ORDER:
-        pasture._ruleTables.clear()
-        pasture._scaledPairs.clear()
+        pasture.search = None
     _fieldPastures[q] = pasture
     return pasture
 
@@ -257,8 +211,8 @@ BUILTIN_PASTURES = {
                                      ((0, 0, 1, -1, 0), (0, 0, 0, 0, 1))]),
 }
 
-# builtinPasture's pastures by name, shared as gfPasture's are, with the
-# search tables and the sublattice built into them.
+# builtinPasture's pastures by name, shared as gfPasture's are, with what
+# the search builds into them.
 _builtinPastures = {}
 
 

@@ -198,7 +198,7 @@ def nonRepresentabilityCertificate(matroid, basis=None, foundationResult=None):
     fr = foundationResult if foundationResult is not None else computeFoundation(matroid, basis)
     foundation = fr.foundation
     one = (0,) * foundation.group.dim
-    if one in set(foundation.fundamentalElements()):
+    if one in foundation.partners:
         return Certificate("OneIsFundamental")
     ms = searchMorphisms(builtinPasture("P0"), foundation, findOne=True)
     if ms:

@@ -58,9 +58,6 @@ class IntMatrix:
                 raise ValueError("column length mismatch")
         return cls(tuple(zip(*columns)) if columns else ((),) * dim, cols=len(columns))
 
-    def entry(self, i, j):
-        return self.data[i][j]
-
     def column(self, j):
         return tuple(row[j] for row in self.data)
 
@@ -86,11 +83,6 @@ class IntMatrix:
             raise ValueError("vector length mismatch")
         return tuple(sum(map(mul, row, vec)) for row in self.data)
 
-    def vstack(self, other):
-        if self.cols != other.cols:
-            raise ValueError("column count mismatch in vstack")
-        return IntMatrix(self.data + other.data, cols=self.cols)
-
     def toLists(self):
         return [list(row) for row in self.data]
 
@@ -113,10 +105,6 @@ class SnfResult:
         self.U = U
         self.D = D
         self.V = V
-
-    def diagonal(self):
-        k = min(self.D.rows, self.D.cols)
-        return tuple(self.D.entry(i, i) for i in range(k))
 
 
 def _identityRows(n):
@@ -466,17 +454,16 @@ def cokernelPresentation(relations):
 class ModularSolver:
     """Solutions x (length a.rows) of x @ A == B modulo n for one fixed A.
 
-    W is A, stacked on n times the identity when n > 0, so that the
-    system is x' @ W == B over Z with x the first a.rows coordinates of x'.
-    With U @ W^T @ V == D (smithNormalForm), x' = V z where
-    z_i = (U B)_i / d_i; there is no solution when some d_i does not divide
-    (U B)_i, or some zero d_i meets a nonzero (U B)_i.  W is factored once,
-    and __init__ keeps exactly what a solve reads: the rows of U, the
-    diagonal padded with zeros to one entry per row of U, and the first
-    a.rows rows of V cut to its leading columns, one per row of U, as z is
-    zero past them.  Each right-hand side then costs two matrix-vector
-    products over plain tuples, the arithmetic of the full form, so every
-    B gets the same solution.  n == 0 means solve over the integers.
+    W is A, stacked on n times the identity when n > 0, so that the system
+    is x' @ W == B over Z with x the first a.rows coordinates of x'.  With
+    U @ W^T @ V == D in Smith normal form, x' = V z where z_i = (U B)_i / d_i;
+    there is no solution when some d_i does not divide (U B)_i, or some zero
+    d_i meets a nonzero (U B)_i.  __init__ reduces the rows (A^T | n I) of
+    W^T once (_smith), carrying only V's first a.rows rows, as _smith changes
+    each row of V on its own.  It keeps what a solve reads: U's rows, the
+    diagonal padded with zeros to one entry per row of U, and those rows of V
+    cut to one column per row of U, as z is zero past them.  n == 0 means
+    solve over the integers.
     """
 
     __slots__ = ("n", "cols", "steps", "vRows")
@@ -484,19 +471,17 @@ class ModularSolver:
     def __init__(self, a, n):
         if n < 0:
             raise ValueError("modulus must be nonnegative")
-        work = a
-        if n:
-            scaled = IntMatrix(tuple(tuple(n if i == j else 0 for j in range(a.cols)) for i in range(a.cols)), cols=a.cols)
-            work = a.vstack(scaled)
-        # x @ work == b  <=>  work^T @ x^T == b^T
-        snf = smithNormalForm(work.transpose())
-        diag = snf.diagonal()
+        # x @ W == b  <=>  W^T @ x^T == b^T
+        u = _identityRows(a.cols)
+        d = [list(a.column(j)) + ([n * x for x in u[j]] if n else []) for j in range(a.cols)]
+        v = _identityRows(a.rows + a.cols if n else a.rows)[:a.rows]
+        _smith(d, u, v)
+        diag = [row[i] for i, row in enumerate(d) if i < len(row)]
         self.n = n
         self.cols = a.cols
         # (row of U, its diagonal entry), one per coordinate of U b
-        self.steps = tuple(zip(snf.U.data, diag + (0,) * (snf.U.rows - len(diag))))
-        # only the first a.rows coordinates of a solution are x itself
-        self.vRows = tuple(row[:snf.U.rows] for row in snf.V.data[:a.rows])
+        self.steps = tuple(zip(u, diag + [0] * (len(u) - len(diag))))
+        self.vRows = tuple(row[:len(u)] for row in v)
 
     def solve(self, b):
         """One solution x for the right-hand side B (a sequence of a.cols

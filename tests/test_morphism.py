@@ -139,13 +139,13 @@ def test_sublattice_rules_are_consistent():
         p = frozenSublatticePasture(case)
         g = p.group
         sub = fullRankSublattice(p)
-        pairSet = p.pairSet()
+        pairSet = p.pairs
         scaled = {}  # c -> {c * e: [e, ...]} over the fundamental elements e
 
         def solutions(c, value):
             if c not in scaled:
                 scaled[c] = {}
-                for e in p.fundamentalElements():
+                for e in p.partners:
                     scaled[c].setdefault(g.scale(c, e), []).append(e)
             return scaled[c].get(value, [])
 
@@ -189,7 +189,7 @@ def test_pappus_to_gf8_count_and_budget():
 def test_one_fundamental_kills_field_morphisms(name):
     fr = computeFoundation(namedMatroid(name))
     one = (0,) * fr.foundation.group.dim
-    assert one in set(fr.foundation.fundamentalElements())
+    assert one in fr.foundation.partners
     for q in [2, 3, 5, 8]:
         stats = SearchStats()
         assert searchMorphisms(fr.foundation, gfPasture(q), stats=stats) == []

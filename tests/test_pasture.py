@@ -9,7 +9,7 @@ from foundry import pasture as pastureModule
 from foundry._gf import MAX_FIELD_ORDER, FieldError, FiniteField
 from foundry.foundation import computeFoundation
 from foundry.matroid import _NAMED_NONBASES, namedMatroid
-from foundry.morphism import SearchStats, searchMorphisms
+from foundry.morphism import SearchStats, ruleCandidates, scaledPairs, searchMorphisms
 from foundry.pasture import (
     InvalidPastureError,
     Pasture,
@@ -128,13 +128,13 @@ def test_prime_fields_use_the_smallest_primitive_root():
 @pytest.mark.parametrize("q", SMALL_PRIME_POWERS)
 def test_gf_pasture_census_matches_field_orbits(q):
     p = gfPasture(q)
-    assert len(p.fundamentalElements()) == max(q - 2, 0)
+    assert len(p.partners) == max(q - 2, 0)
     got = {"F3": 0, "D": 0, "H": 0, "U": 0}
     for t in p.hexagonTypes():
         got[t] += 1
     assert got == orbitCensus(q)
     if q > 3:
-        assert all(len(p.partnersOf(x)) == 1 for x in p.fundamentalElements())
+        assert all(len(p.partnersOf(x)) == 1 for x in p.partners)
 
 
 def test_gf_pasture_nullset_matches_field(seed=17):
@@ -195,7 +195,7 @@ def test_hexagon_closure_matches_the_two_closure_definition():
     their duals, the builtins and the fields below 100."""
     checked = 0
     for p in roster():
-        for x, y in p.fundamentalPairs():
+        for x, y in p.pairs:
             triple = closureTriple(p.group, p.epsilon, x, y)
             head = min(c for pair in triple for c in (pair, pair[::-1]))
             expected = closureTriple(p.group, p.epsilon, *head)
@@ -211,7 +211,7 @@ def test_closure_triple_matches_its_definition():
     for p in roster():
         g, e = p.group, p.epsilon
         shift = tuple(g.invariants) + (0,) * g.freeRank
-        for x, y in p.fundamentalPairs():
+        for x, y in p.pairs:
             expected = ((x, y), (g.neg(x), g.add(e, y, g.neg(x))),
                         (g.neg(y), g.add(e, x, g.neg(y))))
             unreduced = tuple(a + b for a, b in zip(x, shift))
@@ -229,14 +229,33 @@ def test_pair_tables_match_their_definitions():
     for p in roster():
         g = p.group
         pairs = tuple(dict.fromkeys(pair for h in p.hexagons for pair in orientedPairs(h)))
-        assert p.fundamentalPairs() == pairs, p
-        elements = tuple(sorted({x for x, _ in p.pairSet()}))
-        assert p.fundamentalElements() == elements, p
+        assert tuple(p.pairs) == pairs, p
+        elements = tuple(sorted({x for x, _ in p.pairs}))
+        assert tuple(p.partners) == elements, p
         shift = tuple(g.invariants) + (0,) * g.freeRank
         for x in set(elements) | {g.scale(2, x) for x in elements} | {g.zero()}:
-            expected = tuple(sorted(y for a, y in p.pairSet() if a == x))
+            expected = tuple(sorted(y for a, y in p.pairs if a == x))
             assert p.partnersOf(x) == expected, (p, x)
             assert p.partnersOf(tuple(a + b for a, b in zip(x, shift))) == expected, (p, x)
+            checked += 1
+    assert checked > 2000
+
+
+def test_pair_map_sends_each_pair_to_its_hexagon():
+    """Pasture.pairs, on every pasture of the roster: it iterates in the
+    order of dict.fromkeys over each hexagon's six oriented pairs, and sends
+    each pair to the one hexagon whose closure triple holds it or its swap."""
+    checked = 0
+    for p in roster():
+        order = dict.fromkeys(pair for h in p.hexagons for x, y in h
+                              for pair in ((x, y), (y, x)))
+        assert tuple(p.pairs) == tuple(order), p
+        holders = {}
+        for k, h in enumerate(p.hexagons):
+            for pair in h:
+                holders.setdefault(pair, set()).add(k)
+        for pair, k in p.pairs.items():
+            assert holders.get(pair, set()) | holders.get(pair[::-1], set()) == {k}, (p, pair)
             checked += 1
     assert checked > 2000
 
@@ -251,21 +270,21 @@ def test_search_tables_match_their_definitions():
         g = p.group
         for c, d in ((1, 1), (2, 1), (1, -1), (3, 2)):
             one = {}
-            for x in p.fundamentalElements():
+            for x in p.partners:
                 for y in p.partnersOf(x):
                     if y not in one.setdefault(g.scale(c, x), []):
                         one[g.scale(c, x)].append(y)
-            assert p.ruleCandidates((c,)) == {k: tuple(v) for k, v in one.items()}, p
+            assert ruleCandidates(p, (c,)) == {k: tuple(v) for k, v in one.items()}, p
             two = {}
-            for x, y in p.fundamentalPairs():
+            for x, y in p.pairs:
                 key = g.add(g.scale(c, x), g.scale(d, y))
                 if x not in two.setdefault(key, []):
                     two[key].append(x)
-            assert p.ruleCandidates((c, d)) == {k: tuple(v) for k, v in two.items()}, p
-            assert p.scaledPairs(c, d) == {g.scale(c, x) + g.scale(d, y)
-                                          for x, y in p.fundamentalPairs()}, p
-            assert p.ruleCandidates((c, d)) is p.ruleCandidates((c, d))
-            assert p.scaledPairs(c, d) is p.scaledPairs(c, d)
+            assert ruleCandidates(p, (c, d)) == {k: tuple(v) for k, v in two.items()}, p
+            assert scaledPairs(p, c, d) == {g.scale(c, x) + g.scale(d, y)
+                                            for x, y in p.pairs}, p
+            assert ruleCandidates(p, (c, d)) is ruleCandidates(p, (c, d))
+            assert scaledPairs(p, c, d) is scaledPairs(p, c, d)
 
 
 def test_gf_pasture_is_built_once():
@@ -297,24 +316,25 @@ def test_field_cache_counts_the_search_tables_of_each_field(monkeypatch):
     monkeypatch.setattr(pastureModule, "_fieldPastures", {})
 
     def weights():
-        return {q: p.field.q * (1 + len(p._ruleTables) + len(p._scaledPairs))
+        return {q: p.field.q * (1 + (len(p.search.rules) + len(p.search.scaled)
+                                     if p.search is not None else 0))
                 for q, p in pastureModule._fieldPastures.items()}
 
     seven = gfPasture(7)
-    seven.ruleCandidates((1,))
-    seven.scaledPairs(1, 1)
-    gfPasture(8).ruleCandidates((2, 1))
+    ruleCandidates(seven, (1,))
+    scaledPairs(seven, 1, 1)
+    ruleCandidates(gfPasture(8), (2, 1))
     assert weights() == {7: 21, 8: 16}  # tables built after the last call
     gfPasture(9)
     assert weights() == {8: 16, 9: 9}  # 7 and its two tables evicted first
     eleven = gfPasture(11)
     assert weights() == {9: 9, 11: 11}
-    table = eleven.ruleCandidates((1,))
+    table = ruleCandidates(eleven, (1,))
     expected = dict(table)
-    eleven.scaledPairs(1, 1)
+    scaledPairs(eleven, 1, 1)
     assert gfPasture(11) is eleven
     assert weights() == {11: 11}  # 9 evicted, then 11's tables (33 in all) dropped
-    assert table == expected and eleven.ruleCandidates((1,)) == expected
+    assert table == expected and ruleCandidates(eleven, (1,)) == expected
     assert gfPasture(7) is not seven
 
 
@@ -322,8 +342,8 @@ def test_searches_leave_a_cached_field_as_a_fresh_one():
     """Searches into a cached field and out of it change none of its data,
     and give the maps that a freshly built pasture of the field gives."""
     field = gfPasture(9)
-    partners = {x: field.partnersOf(x) for x in field.fundamentalElements()}
-    before = (hash(field), field.fundamentalPairs(), partners)
+    partners = {x: field.partnersOf(x) for x in field.partners}
+    before = (hash(field), tuple(field.pairs.items()), partners)
     fresh = Pasture(field.group, field.epsilon, [h[0] for h in field.hexagons],
                     field=field.field)
     sources = [computeFoundation(namedMatroid(name)).foundation
@@ -335,18 +355,18 @@ def test_searches_leave_a_cached_field_as_a_fresh_one():
             assert keys == [m.sortKey() for m in searchMorphisms(source, fresh)], source
         assert len(searchMorphisms(field, gfPasture(81))) == 2
         assert len(searchMorphisms(field, field, findIso=True)) == 2
-    partners = {x: field.partnersOf(x) for x in field.fundamentalElements()}
-    assert (hash(field), field.fundamentalPairs(), partners) == before
+    partners = {x: field.partnersOf(x) for x in field.partners}
+    assert (hash(field), tuple(field.pairs.items()), partners) == before
     assert field == fresh and gfPasture(9) is field
 
 
 def test_partner_symmetry_and_pairs():
     for q in (5, 8, 9):
         p = gfPasture(q)
-        for x in p.fundamentalElements():
+        for x in p.partners:
             for y in p.partnersOf(x):
                 assert x in p.partnersOf(y)
-        assert set(p.fundamentalPairs()) == p.pairSet()
+        assert set(p.pairs) == p.pairs.keys()
 
 
 def test_pair_order_is_first_seen_order():
@@ -357,7 +377,7 @@ def test_pair_order_is_first_seen_order():
             for pair in orientedPairs(h):
                 if pair not in expected:
                     expected.append(pair)
-        assert p.fundamentalPairs() == tuple(expected)
+        assert tuple(p.pairs) == tuple(expected)
         assert len(p.hexagons) == len(set(p.hexagons))
 
 
@@ -374,7 +394,7 @@ def test_one_head_per_orbit_gives_the_all_heads_pasture():
         heads = [((f.log(a),), (f.log(f.sub(1, a)),)) for a in range(2, q)]
         reference = Pasture(group, p.epsilon, heads)
         assert p.hexagons == reference.hexagons, q
-        assert p.fundamentalPairs() == reference.fundamentalPairs(), q
+        assert tuple(p.pairs.items()) == tuple(reference.pairs.items()), q
 
 
 def test_repeated_and_reordered_heads_give_the_distinct_heads_pasture():
@@ -391,8 +411,9 @@ def test_repeated_and_reordered_heads_give_the_distinct_heads_pasture():
         distinct = Pasture(p.group, p.epsilon, heads)
         repeated = Pasture(p.group, p.epsilon, raw)
         assert repeated == distinct == p
-        assert repeated.fundamentalPairs() == distinct.fundamentalPairs() == p.fundamentalPairs()
-        for x in p.fundamentalElements():
+        assert (tuple(repeated.pairs.items()) == tuple(distinct.pairs.items())
+                == tuple(p.pairs.items()))
+        for x in p.partners:
             assert repeated.partnersOf(x) == p.partnersOf(x)
 
 
@@ -407,7 +428,7 @@ def test_builtin_pastures():
     assert builtinPasture("H").hexagonTypes() == ("H",)
     p0 = builtinPasture("P0")
     assert len(p0.hexagons) == 3
-    assert len(p0.fundamentalElements()) == 16
+    assert len(p0.partners) == 16
     assert p0.group.freeRank == 4
     with pytest.raises(InvalidPastureError):
         builtinPasture("nope")
@@ -458,9 +479,9 @@ def test_builtin_pastures_are_shared_and_match_fresh_ones():
     for name, pasture in fresh.items():
         shared = builtinPasture(name)
         assert shared == pasture and hash(shared) == hash(pasture) and shared.name == name
-        assert shared.fundamentalPairs() == pasture.fundamentalPairs()
-        assert ([shared.partnersOf(x) for x in shared.fundamentalElements()]
-                == [pasture.partnersOf(x) for x in pasture.fundamentalElements()])
+        assert tuple(shared.pairs.items()) == tuple(pasture.pairs.items())
+        assert ([shared.partnersOf(x) for x in shared.partners]
+                == [pasture.partnersOf(x) for x in pasture.partners])
     for bad in ("nope", "P 0", "", "gf:3"):
         with pytest.raises(InvalidPastureError) as e:
             builtinPasture(bad)

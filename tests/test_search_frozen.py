@@ -77,7 +77,7 @@ def coveredHeadFailures(p1, p2, lifts):
     which the search checks for no leaf."""
     unchecked = set(sublatticeOf(p1).uncheckedHeads)
     covered = [h[0] for h in p1.hexagons if h[0] not in unchecked]
-    pairs = p2.pairSet()
+    pairs = p2.pairs
     return [(h, (x, y)) for h in lifts for x, y in covered
             if (h.apply(x), h.apply(y)) not in pairs]
 

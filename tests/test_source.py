@@ -77,6 +77,29 @@ def test_cli_import_loads_nothing_outside_the_standard_library():
     assert sorted(loaded - set(sys.stdlib_module_names) - {"foundry"}) == []
 
 
+def privateSlots(tree):
+    """The underscore names that the module's classes declare in __slots__."""
+    return {name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+            for item in node.body
+            if isinstance(item, ast.Assign) and len(item.targets) == 1
+            and getattr(item.targets[0], "id", None) == "__slots__"
+            for name in ast.literal_eval(item.value) if name.startswith("_")}
+
+
+def test_no_module_touches_another_modules_private_slots():
+    """A module reads or writes no underscore attribute that a class of
+    another module declares in __slots__ (and none of its own classes
+    does): what a module keeps private, it alone reads and writes."""
+    modules = list(parsedModules())
+    slots = {path: privateSlots(tree) for path, tree in modules}
+    found = []
+    for path, tree in modules:
+        foreign = set().union(*(names for other, names in slots.items() if other != path))
+        found += ["%s:%d %s" % (path.name, node.lineno, node.attr) for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr in foreign - slots[path]]
+    assert found == []
+
+
 def tracedNames():
     """{table: [(owner, attribute), ...]} for the SPANNED and COUNTED tables
     of bench/tracing.py, read from its source without importing it."""
@@ -158,6 +181,7 @@ UNREFERENCED = {
     "GroupPresentation.allElements": "oracle: brute-force morphism enumeration in the tests",
     "FiniteField.units": "oracle: the tests check each field's generator with it",
     "solveModular": "bench/tracing.py wraps it",
+    "smithNormalForm": "bench/tracing.py wraps it",
     "Matroid.rankOf": "bench/tracing.py wraps it; the tests' rank oracles call it",
     "Pasture.partnersOf": "bench/tracing.py wraps it",
     "Matroid.dual": "public API the benchmark calls",

@@ -84,7 +84,7 @@ def test_head_pair_span_check_agrees_with_the_check_on_every_element():
     refused = []
     for case in sorted(FROZEN):
         p = pastureOf(case)
-        full = spans(p, p.fundamentalElements())
+        full = spans(p, tuple(p.partners))
         assert spans(p, [x for h in p.hexagons for x in h[0]]) == full, case
         if not full:
             refused.append(case)

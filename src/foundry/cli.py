@@ -182,11 +182,11 @@ def cmdMorphisms(args):
             "source": "foundation(%s)" % (m.name or "unnamed"),
             "target": target.name,
             "count": len(ms),
-            "matrices": [f.matrix.toLists() for f in ms],
+            "matrices": [f.matrix for f in ms],
         }
         lines = ["morphisms: %d" % len(ms)]
         for f in ms:
-            lines.append(formatMatrix(f.matrix.data))
+            lines.append(formatMatrix(f.matrix))
     if args.stats:
         payload["stats"] = _statsPayload(stats, fr.foundation)
         lines.append("stats: " + ", ".join(
@@ -207,7 +207,7 @@ def cmdRepresentations(args):
         "matroid": m.name or "unnamed",
         "field": args.field,
         "count": len(reps),
-        "matrices": [[list(row) for row in rep.matrix] for rep in reps],
+        "matrices": [rep.matrix for rep in reps],
     }
     lines = ["representations over GF(%d): %d" % (args.field, len(reps))]
     for rep in reps:
@@ -237,8 +237,8 @@ def cmdCertificate(args):
                "certificate": {"kind": cert.kind}}
     lines = ["certificate: %s" % cert.kind]
     if cert.morphism is not None:
-        payload["certificate"]["matrix"] = cert.morphism.matrix.toLists()
-        lines.append(formatMatrix(cert.morphism.matrix.data))
+        payload["certificate"]["matrix"] = cert.morphism.matrix
+        lines.append(formatMatrix(cert.morphism.matrix))
     emit(args, payload, "\n".join(lines))
     return 0
 
@@ -252,8 +252,8 @@ def cmdIso(args):
     target = loadPasture(args.target)
     ms = searchMorphisms(source, target, findIso=True, findOne=True)
     if ms:
-        payload = {"isomorphic": True, "matrix": ms[0].matrix.toLists()}
-        text = "isomorphic: yes\n" + formatMatrix(ms[0].matrix.data)
+        payload = {"isomorphic": True, "matrix": ms[0].matrix}
+        text = "isomorphic: yes\n" + formatMatrix(ms[0].matrix)
     else:
         payload = {"isomorphic": False}
         text = "isomorphic: no"

@@ -106,7 +106,7 @@ class FoundationResult:
                         continue
                     k = self.index.get(tuple(sorted(b0 - {a} | {j})))
                     if k is not None:
-                        images[(i, j)] = self.rhoZero.matrix.column(k)
+                        images[(i, j)] = tuple([row[k] for row in self.rhoZero.matrix])
             self._nearImages = images
         return self._nearImages
 
@@ -121,14 +121,14 @@ def computeFoundation(m, basis=None):
     index = {b: i for i, b in enumerate(m.bases, 1)}
     graph = m.exchangeGraphAndForest(basis)
     pres, rhoZero = cokernelPresentation(tutteRelations(m, index, graph))
-    epsilon = rhoZero.matrix.column(0)
+    epsilon = tuple([row[0] for row in rhoZero.matrix])
     heads = []
     if m.rank >= 2:
         # rhoZero of a cross ratio: the signed sum of its columns of rhoZero,
         # each kept as its nonzeros (mostly one, whatever the group's size)
         dim = 1 + len(index)
         columns = [[] for _ in range(dim)]
-        for k, row in enumerate(rhoZero.matrix.data):
+        for k, row in enumerate(rhoZero.matrix):
             for i in itertools.compress(range(dim), row):
                 columns[i].append((k, row[i]))
 
@@ -161,6 +161,6 @@ def foundationResultToJson(fr):
     from .pasture import pastureToJson
 
     doc = pastureToJson(fr.foundation)
-    doc["rhoZero"] = fr.rhoZero.matrix.toLists()
+    doc["rhoZero"] = fr.rhoZero.matrix
     doc["B0"] = list(fr.basis)
     return doc

@@ -7,7 +7,8 @@ through a pruned depth-first search.  Surviving leaf assignments are
 assembled into the integer rows of their lifts; a lift is kept when it
 sends every source hexagon head to a fundamental pair, the one part of the
 morphism criterion (isMorphism) that does not hold by construction, and
-only then becomes a GroupHom and a PastureMorphism.
+only then becomes a PastureMorphism, its rows taken as they are for the
+matrix of its GroupHom.
 
 A leaf checks only the heads of the hexagons the search left open
 (SublatticeData.uncheckedHeads).  A hexagon is one closure class of
@@ -42,7 +43,6 @@ from operator import mul
 from .zlattice import (
     GroupHom,
     GroupPresentation,
-    IntMatrix,
     ModularSolver,
     cokernelPresentation,
     homFinite,
@@ -74,21 +74,16 @@ class TooManyTorsionHoms(ValueError):
 
 
 class PastureMorphism:
-    """A pasture morphism stored as a canonicalized unit-group homomorphism."""
+    """A pasture morphism stored as a unit-group homomorphism whose matrix
+    is already canonical (GroupHom.canonicalMatrix), as every lift the
+    search keeps is built."""
 
     __slots__ = ("source", "target", "hom")
 
     def __init__(self, source, target, hom):
         self.source = source
         self.target = target
-        self.hom = GroupHom(source.group, target.group, hom.canonicalMatrix())
-
-    @classmethod
-    def fromCanonical(cls, source, target, hom):
-        """The morphism of a hom whose matrix is already canonical."""
-        f = cls.__new__(cls)
-        f.source, f.target, f.hom = source, target, hom
-        return f
+        self.hom = hom
 
     @property
     def matrix(self):
@@ -98,7 +93,7 @@ class PastureMorphism:
         return self.hom.apply(vec)
 
     def sortKey(self):
-        return self.hom.matrix.data
+        return self.hom.matrix
 
     def __eq__(self, other):
         return (
@@ -112,7 +107,7 @@ class PastureMorphism:
         return hash((self.source, self.target, self.hom.matrix))
 
     def __repr__(self):
-        return "PastureMorphism(%r)" % (self.hom.matrix.toLists(),)
+        return "PastureMorphism(%r)" % (self.hom.matrix,)
 
 
 def isMorphism(f):
@@ -310,10 +305,10 @@ class SublatticeData:
     its whole hexagon, to fundamental pairs; _Search.emit checks the rest.
     The construction keeps the matched hexagons as indices into
     pasture.hexagons, read off Pasture.pairs, and leaves out their heads.
-    freeMatrix: A_F, whose columns are the generators' free parts.  Its
-    factorisation per modulus, its cokernel, the lift offsets per target
-    torsion and the search's slot program are built on first use and kept
-    for the life of the source pasture.
+    freeMatrix: the rows of A_F, whose columns are the generators' free
+    parts.  Its factorisation per modulus, its cokernel, the lift offsets
+    per target torsion and the search's slot program are built on first use
+    and kept for the life of the source pasture.
     """
 
     __slots__ = ("generators", "rules", "typeFourLists", "counts", "freeMatrix",
@@ -333,17 +328,18 @@ class SublatticeData:
 
     def offsets(self, invariants):
         """How two lifts of the same generator images into the torsion
-        Z/invariants may differ: the rows of h @ proj for every h in
+        Z/invariants may differ: the matrix of h after proj for every h in
         Hom(coker(A_F), Z/invariants), in homFinite order, where proj is the
-        projection onto coker(A_F), finite because A_F has full rank."""
+        projection onto coker(A_F), finite because A_F has full rank.  The
+        cokernel reduces a list copy of A_F's rows."""
         offsets = self._offsets.get(invariants)
         if offsets is None:
-            pres, proj = self._coker = self._coker or cokernelPresentation(self.freeMatrix)
+            pres, proj = self._coker = self._coker or cokernelPresentation(
+                [list(row) for row in self.freeMatrix])
             if pres.freeRank:
                 raise ValueError("sublattice free parts must have full rank")
             offsets = self._offsets[invariants] = tuple(
-                (h.matrix @ proj.matrix).data
-                for h in homFinite(pres, GroupPresentation(invariants, 0)))
+                h.compose(proj).matrix for h in homFinite(pres, GroupPresentation(invariants, 0)))
         return offsets
 
     def solver(self, n):
@@ -625,7 +621,7 @@ def fullRankSublattice(pasture):
             covered.add(hexagonOf[k])
         counts[count] += 1
         recordNewTypeFour()
-    freeMatrix = IntMatrix.fromColumns([group.freePart(x) for x in generators], dim=r)
+    freeMatrix = tuple(zip(*[group.freePart(x) for x in generators]))
     uncheckedHeads = tuple(h[0] for i, h in enumerate(pasture.hexagons) if i not in covered)
     return SublatticeData(tuple(generators), tuple(rules), tuple(typeFourLists), counts,
                           freeMatrix, uncheckedHeads)
@@ -821,7 +817,7 @@ class _Search:
         """Search below one torsion block; True when findOne has its answer."""
         self.images = []
         n1 = len(self.p1.group.invariants)
-        self.psiRows = psi.matrix.data
+        self.psiRows = psi.matrix
         self.psiImages = [psi.apply(x[:n1]) for x in self.sub.generators]
         free = (0,) * self.p2.group.freeRank
         mapped = {}
@@ -897,8 +893,9 @@ class _Search:
         that sends one pair of a closure class to a fundamental pair sends
         the whole class to its closure.  The heads are mapped by dot
         products with the rows, torsion coordinates reduced mod their
-        invariant; only a lift that passes becomes a GroupHom, and its rows
-        are already canonical, so its IntMatrix takes them as they are.
+        invariant; only a lift that passes becomes a GroupHom, whose matrix
+        is the rows as they are, already canonical as PastureMorphism
+        expects.
         """
         mods, pairs = self.mods, self.pairs
         for x, y in self.heads:
@@ -909,15 +906,14 @@ class _Search:
                 return False
         found = self.found
         if found is not None:  # a counting search never restricts to isomorphisms
-            hom = GroupHom(self.p1.group, self.p2.group,
-                           IntMatrix.fromRows(rows, self.p1.group.dim))
+            hom = GroupHom(self.p1.group, self.p2.group, rows)
             if self.findIso and not hom.isSurjective():
                 return False
             if len(found) == MAX_MORPHISMS:
                 raise TooManyMorphisms(
                     "more than %d morphisms from %s to %s; a listing keeps at most that many"
                     % (MAX_MORPHISMS, self.p1.name or "the source", self.p2.name or "the target"))
-            found.append(PastureMorphism.fromCanonical(self.p1, self.p2, hom))
+            found.append(PastureMorphism(self.p1, self.p2, hom))
         self.stats.valid += 1
         return self.findOne
 

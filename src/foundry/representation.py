@@ -56,7 +56,8 @@ def gpFromMorphism(foundationResult, morphism):
     fr = foundationResult
     values = {}
     for b in fr.matroid.bases:
-        values[b] = morphism.apply(fr.rhoZero.matrix.column(fr.index[b]))
+        k = fr.index[b]
+        values[b] = morphism.apply([row[k] for row in fr.rhoZero.matrix])
     return GPFunction(fr.matroid, morphism.target, values)
 
 
@@ -111,7 +112,7 @@ def gpToMatrix(foundationResult, morphism):
     target = morphism.target
     if target.field is None:
         raise ValueError("morphism target %r has no attached field" % (target.name,))
-    row, = morphism.matrix.data or ((),)
+    row, = morphism.matrix or ((),)
     exp = target.field.exp
     rows = []
     for a in fr.basis:

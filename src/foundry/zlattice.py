@@ -1,6 +1,7 @@
 """Exact integer linear algebra for finitely generated abelian groups.
 
-Everything works over plain Python ints: Smith normal form by elimination
+Everything works over plain Python ints, and a matrix is the tuple of its
+rows, each a tuple of ints: Smith normal form by elimination
 over the nonzeros of each pivot row, a span check that inserts columns into
 an echelon basis, cokernel presentations that build no column transform,
 modular linear solves against a matrix factored once, and enumeration of
@@ -12,99 +13,6 @@ from __future__ import annotations
 import itertools
 from math import gcd
 from operator import mod, mul
-
-
-class IntMatrix:
-    """An immutable integer matrix stored as a tuple of row tuples."""
-
-    __slots__ = ("rows", "cols", "data")
-
-    def __init__(self, data, cols=None):
-        data = tuple(tuple(map(int, row)) for row in data)
-        if data:
-            cols = len(data[0]) if cols is None else cols
-            for row in data:
-                if len(row) != cols:
-                    raise ValueError("ragged rows in matrix data")
-        elif cols is None:
-            cols = 0
-        object.__setattr__(self, "rows", len(data))
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "data", data)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("IntMatrix is immutable")
-
-    @classmethod
-    def fromRows(cls, data, cols):
-        """The matrix of data taken as it is, without a check: for rows
-        already built as a tuple of int tuples, each of length cols."""
-        m = cls.__new__(cls)
-        object.__setattr__(m, "rows", len(data))
-        object.__setattr__(m, "cols", cols)
-        object.__setattr__(m, "data", data)
-        return m
-
-    @classmethod
-    def fromColumns(cls, columns, dim=None):
-        """Build a matrix whose j-th column is columns[j] (each of length dim)."""
-        columns = [tuple(c) for c in columns]
-        if dim is None:
-            if not columns:
-                raise ValueError("need dim for a matrix with no columns")
-            dim = len(columns[0])
-        for c in columns:
-            if len(c) != dim:
-                raise ValueError("column length mismatch")
-        return cls(tuple(zip(*columns)) if columns else ((),) * dim, cols=len(columns))
-
-    def column(self, j):
-        return tuple(row[j] for row in self.data)
-
-    def columns(self):
-        return [self.column(j) for j in range(self.cols)]
-
-    def transpose(self):
-        return IntMatrix(tuple(self.column(j) for j in range(self.cols)), cols=self.rows)
-
-    def __matmul__(self, other):
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch in matrix product")
-        cols = other.transpose().data
-        return IntMatrix(
-            tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in cols) for row in self.data),
-            cols=other.cols,
-        )
-
-    def mulVector(self, vec):
-        """Matrix times column vector, returned as a tuple."""
-        vec = tuple(vec)
-        if len(vec) != self.cols:
-            raise ValueError("vector length mismatch")
-        return tuple(sum(map(mul, row, vec)) for row in self.data)
-
-    def toLists(self):
-        return [list(row) for row in self.data]
-
-    def __eq__(self, other):
-        return isinstance(other, IntMatrix) and self.data == other.data and self.cols == other.cols
-
-    def __hash__(self):
-        return hash((self.cols, self.data))
-
-    def __repr__(self):
-        return "IntMatrix(%r)" % (self.toLists(),)
-
-
-class SnfResult:
-    """Smith normal form data: U @ A @ V == D with U, V unimodular."""
-
-    __slots__ = ("U", "D", "V")
-
-    def __init__(self, U, D, V):
-        self.U = U
-        self.D = D
-        self.V = V
 
 
 def _identityRows(n):
@@ -208,13 +116,13 @@ def _smith(d, u, v):
         t += 1
 
 
-def smithNormalForm(a):
-    """Smith normal form with both unimodular transforms: U @ a @ V == D."""
-    m, n = a.rows, a.cols
-    d = [list(row) for row in a.data]
-    u, v = _identityRows(m), _identityRows(n)
+def smithNormalForm(a, cols=0):
+    """Smith normal form of the matrix with rows a (cols columns, read only
+    when a has no rows): the rows of U, D and V with U @ a @ V == D."""
+    d = [list(row) for row in a]
+    u, v = _identityRows(len(d)), _identityRows(len(d[0]) if d else cols)
     _smith(d, u, v)
-    return SnfResult(IntMatrix(u, cols=m), IntMatrix(d, cols=n), IntMatrix(v, cols=n))
+    return tuple(tuple(map(tuple, m)) for m in (u, d, v))
 
 
 def _xgcd(a, b):
@@ -370,47 +278,48 @@ class GroupPresentation:
 class GroupHom:
     """A homomorphism between presented groups, given by an integer matrix.
 
-    The matrix has shape target.dim x source.dim and acts on coordinate
-    columns.  Well-definedness requires a_j * column(j) to vanish in the
-    target for every torsion coordinate j of the source.
+    The matrix is target.dim rows, each source.dim ints long, taken as
+    given, and acts on coordinate columns.  Well-definedness requires
+    a_j * column(j) to vanish in the target for every torsion coordinate j
+    of the source.
     """
 
     __slots__ = ("source", "target", "matrix")
 
     def __init__(self, source, target, matrix):
-        if matrix.rows != target.dim or matrix.cols != source.dim:
+        if len(matrix) != target.dim or any(len(row) != source.dim for row in matrix):
             raise ValueError("hom matrix has wrong shape")
         self.source = source
         self.target = target
         self.matrix = matrix
 
     def apply(self, vec):
-        return self.target.reduce(self.matrix.mulVector(vec))
+        if len(vec) != self.source.dim:
+            raise ValueError("element has wrong length")
+        return self.target.reduce([sum(map(mul, row, vec)) for row in self.matrix])
 
     def isWellDefined(self):
-        for j, a in enumerate(self.source.invariants):
-            col = self.matrix.column(j)
-            if not self.target.isZero(tuple(a * x for x in col)):
-                return False
-        return True
+        return all(self.target.isZero([a * row[j] for row in self.matrix])
+                   for j, a in enumerate(self.source.invariants))
 
     def canonicalMatrix(self):
         """The matrix with every column reduced to canonical target
         coordinates: torsion rows mod their invariant, free rows as they are."""
         invariants = self.target.invariants
-        data = self.matrix.data
-        rows = [tuple([x % a for x in row]) for row, a in zip(data, invariants)]
-        return IntMatrix(rows + list(data[len(invariants):]), cols=self.matrix.cols)
+        return (tuple(tuple([x % a for x in row]) for row, a in zip(self.matrix, invariants))
+                + self.matrix[len(invariants):])
 
     def compose(self, inner):
         """self after inner (source of self must be target of inner)."""
         if inner.target != self.source:
             raise ValueError("homs are not composable")
-        return GroupHom(inner.source, self.target, self.matrix @ inner.matrix)
+        columns = [[row[j] for row in inner.matrix] for j in range(inner.source.dim)]
+        return GroupHom(inner.source, self.target, tuple(
+            tuple([sum(map(mul, row, col)) for col in columns]) for row in self.matrix))
 
     def isSurjective(self):
         """True when the image together with target relations spans Z^dim."""
-        cols = self.matrix.columns() + self.target.relationColumns()
+        cols = list(zip(*self.matrix)) + self.target.relationColumns()
         return spansLattice(cols, self.target.dim)
 
     def __eq__(self, other):
@@ -425,20 +334,20 @@ class GroupHom:
         return hash((self.source, self.target, self.canonicalMatrix()))
 
     def __repr__(self):
-        return "GroupHom(%r)" % (self.matrix.toLists(),)
+        return "GroupHom(%r)" % (self.matrix,)
 
 
 def cokernelPresentation(relations):
     """Present Z^g modulo the column span of an integer matrix.
 
-    relations is an IntMatrix or its g rows as lists of one length, which
-    are then reduced in place.  Returns (presentation, projection) where
-    projection is the quotient hom from the free ambient group Z^g
-    (presented with no torsion) onto the cokernel in canonical coordinates.
-    Only the diagonal and the rows of U that the projection keeps are read
-    off the elimination.
+    relations is the matrix's g rows as lists of one length, which are
+    reduced in place.  Returns (presentation, projection) where projection
+    is the quotient hom from the free ambient group Z^g (presented with no
+    torsion) onto the cokernel in canonical coordinates.  Only the diagonal
+    and the rows of U that the projection keeps are read off the
+    elimination.
     """
-    d = [list(row) for row in relations.data] if isinstance(relations, IntMatrix) else relations
+    d = relations
     g = len(d)
     u = _identityRows(g)
     _smith(d, u, [])
@@ -447,19 +356,20 @@ def cokernelPresentation(relations):
     freeRows = [i for i in range(g) if i >= len(diag) or diag[i] == 0]
     pres = GroupPresentation([diag[i] for i in torsionRows], len(freeRows))
     rows = [[x % diag[i] for x in u[i]] for i in torsionRows] + [u[i] for i in freeRows]
-    projection = GroupHom(GroupPresentation([], g), pres, IntMatrix(rows, cols=g))
+    projection = GroupHom(GroupPresentation([], g), pres, tuple(map(tuple, rows)))
     return pres, projection
 
 
 class ModularSolver:
-    """Solutions x (length a.rows) of x @ A == B modulo n for one fixed A.
+    """Solutions x of x @ A == B modulo n for one fixed A, given as its rows
+    a, one per entry of x (an A with no rows has no columns either).
 
     W is A, stacked on n times the identity when n > 0, so that the system
-    is x' @ W == B over Z with x the first a.rows coordinates of x'.  With
+    is x' @ W == B over Z with x the first len(a) coordinates of x'.  With
     U @ W^T @ V == D in Smith normal form, x' = V z where z_i = (U B)_i / d_i;
     there is no solution when some d_i does not divide (U B)_i, or some zero
     d_i meets a nonzero (U B)_i.  __init__ reduces the rows (A^T | n I) of
-    W^T once (_smith), carrying only V's first a.rows rows, as _smith changes
+    W^T once (_smith), carrying only V's first len(a) rows, as _smith changes
     each row of V on its own.  It keeps what a solve reads: U's rows, the
     diagonal padded with zeros to one entry per row of U, and those rows of V
     cut to one column per row of U, as z is zero past them.  n == 0 means
@@ -471,21 +381,22 @@ class ModularSolver:
     def __init__(self, a, n):
         if n < 0:
             raise ValueError("modulus must be nonnegative")
+        rows, cols = len(a), len(a[0]) if a else 0
         # x @ W == b  <=>  W^T @ x^T == b^T
-        u = _identityRows(a.cols)
-        d = [list(a.column(j)) + ([n * x for x in u[j]] if n else []) for j in range(a.cols)]
-        v = _identityRows(a.rows + a.cols if n else a.rows)[:a.rows]
+        u = _identityRows(cols)
+        d = [[row[j] for row in a] + ([n * x for x in u[j]] if n else []) for j in range(cols)]
+        v = _identityRows(rows + cols if n else rows)[:rows]
         _smith(d, u, v)
         diag = [row[i] for i, row in enumerate(d) if i < len(row)]
         self.n = n
-        self.cols = a.cols
+        self.cols = cols
         # (row of U, its diagonal entry), one per coordinate of U b
         self.steps = tuple(zip(u, diag + [0] * (len(u) - len(diag))))
         self.vRows = tuple(row[:len(u)] for row in v)
 
     def solve(self, b):
-        """One solution x for the right-hand side B (a sequence of a.cols
-        ints), or None."""
+        """One solution x for the right-hand side B (a sequence of one int
+        per column of A), or None."""
         if len(b) != self.cols:
             raise ValueError("right-hand side has wrong length")
         z = []
@@ -506,10 +417,8 @@ class ModularSolver:
 
 
 def solveModular(a, b, n):
-    """One solution x (length a.rows) of x @ A == B modulo n, or None.
-
-    n == 0 means solve over the integers.  B is a sequence of length a.cols.
-    """
+    """One solution x of x @ A == B modulo n, or None, for A given as in
+    ModularSolver.  n == 0 means solve over the integers."""
     return ModularSolver(a, n).solve(b)
 
 
@@ -533,5 +442,5 @@ def homFinite(source, target):
         mat = [[0] * p for _ in range(q)]
         for i, j, val in choice:
             mat[i][j] = val
-        homs.append(GroupHom(source, target, IntMatrix(mat, cols=p)))
+        homs.append(GroupHom(source, target, tuple(map(tuple, mat))))
     return homs

@@ -19,7 +19,8 @@ from foundry.morphism import (PastureMorphism, SearchStats, isIsomorphism,
 from foundry.pasture import builtinPasture, gfPasture
 from foundry.representation import (isOrientable, matroidOfMatrix,
                                     representationsOverField)
-from foundry.zlattice import GroupHom, IntMatrix, cokernelPresentation, smithNormalForm
+from foundry.zlattice import GroupHom, cokernelPresentation, smithNormalForm
+from test_zlattice import matmul
 
 PRIME_POWERS_49 = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25,
                    27, 29, 31, 32, 37, 41, 43, 47, 49)
@@ -236,7 +237,7 @@ def bruteKeys(p1, p2):
             slots.append(elements)
     keys = set()
     for choice in itertools.product(*slots):
-        mat = IntMatrix.fromColumns(list(choice), dim=g2.dim)
+        mat = tuple(zip(*choice)) if choice else ((),) * g2.dim
         f = PastureMorphism(p1, p2, GroupHom(g1, g2, mat))
         if isMorphism(f):
             keys.add(f.sortKey())
@@ -308,16 +309,16 @@ def checkRandomSnf(rng):
     r = rng.randrange(0, 5)
     c = rng.randrange(0, 5)
     rows = [[rng.randint(-9, 9) for _ in range(c)] for _ in range(r)]
-    a = IntMatrix(rows, cols=c)
-    snf = smithNormalForm(a)
-    assert abs(intDet(snf.U.toLists())) == 1
-    assert abs(intDet(snf.V.toLists())) == 1
-    product = snf.U @ a @ snf.V
-    diag = tuple(snf.D.data[i][i] for i in range(min(snf.D.rows, snf.D.cols)))
-    for i in range(product.rows):
-        for j in range(product.cols):
+    U, D, V = smithNormalForm(rows, c)
+    assert len(U) == r and len(V) == c
+    assert abs(intDet(U)) == 1
+    assert abs(intDet(V)) == 1
+    product = matmul(matmul(U, rows), V)
+    diag = tuple(D[i][i] for i in range(min(r, c)))
+    for i, row in enumerate(product):
+        for j, x in enumerate(row):
             expect = diag[i] if i == j and i < len(diag) else 0
-            assert product.data[i][j] == expect
+            assert x == expect
     assert all(d >= 0 for d in diag)
     for i in range(len(diag) - 1):
         # zeros only at the tail, and each nonzero entry divides the next
@@ -333,7 +334,7 @@ def checkRandomSnf(rng):
         prev = g
         if g == 0:
             break
-    pres, proj = cokernelPresentation(a)
+    pres, proj = cokernelPresentation([list(row) for row in rows])
     nonzero = [d for d in diag if d]
     assert pres.invariants == tuple(d for d in nonzero if d >= 2)
     assert pres.freeRank == r - len(nonzero)

@@ -112,7 +112,7 @@ def test_morphisms_count_keeps_no_maps(capsys, monkeypatch):
 
     def keep(*args):
         raise AssertionError("a counting search kept a map")
-    monkeypatch.setattr("foundry.morphism.PastureMorphism.fromCanonical", keep)
+    monkeypatch.setattr("foundry.morphism.PastureMorphism.__init__", keep)
     monkeypatch.setattr("foundry.morphism.MAX_MORPHISMS", 0)
     assert run(argv + ["--count"]) == 0
     assert capsys.readouterr().out.splitlines() == ["4", listing[-1]]

@@ -2,7 +2,9 @@
 
 import itertools
 import random
-from math import gcd
+import types
+from math import gcd, prod
+from operator import mul
 
 import pytest
 
@@ -21,7 +23,8 @@ from foundry.morphism import (
     sublatticeOf,
 )
 from foundry.pasture import Pasture, builtinPasture, gfPasture
-from foundry.zlattice import GroupHom, GroupPresentation, IntMatrix
+from foundry.representation import nonRepresentabilityCertificate, representationsOverField
+from foundry.zlattice import GroupHom, GroupPresentation, homFinite
 from test_sublattice_frozen import FROZEN as SUBLATTICE_FROZEN
 from test_sublattice_frozen import pastureOf as frozenSublatticePasture
 
@@ -42,7 +45,7 @@ def bruteMorphisms(p1, p2):
             slots.append(elements)
     out = set()
     for choice in itertools.product(*slots):
-        mat = IntMatrix.fromColumns(list(choice), dim=g2.dim)
+        mat = tuple(zip(*choice)) if choice else ((),) * g2.dim
         f = PastureMorphism(p1, p2, GroupHom(g1, g2, mat))
         if isMorphism(f):
             out.add(f.sortKey())
@@ -94,7 +97,7 @@ def test_example_foundation_to_gf5():
     fr = computeFoundation(namedMatroid("example52"))
     stats = SearchStats()
     ms = searchMorphisms(fr.foundation, gfPasture(5), stats=stats)
-    assert [m.matrix.toLists() for m in ms] == [[[2, 0, 3, 1]], [[2, 3, 1, 2]]]
+    assert [m.matrix for m in ms] == [((2, 0, 3, 1),), ((2, 3, 1, 2),)]
     assert stats.valid == 2
     for m in ms:
         assert isMorphism(m)
@@ -242,8 +245,9 @@ def test_composition_of_morphisms_is_morphism():
     assert first and second
     for f in first:
         for g in second:
+            hom = g.hom.compose(f.hom)
             composite = PastureMorphism(fr.foundation, gfPasture(25),
-                                        g.hom.compose(f.hom))
+                                        GroupHom(hom.source, hom.target, hom.canonicalMatrix()))
             assert isMorphism(composite)
 
 
@@ -365,3 +369,67 @@ def test_sparse_rank_test_matches_the_dense_one():
                 assert list(sparse.items()) == [
                     (pivot, {k: x for k, x in enumerate(row) if x}) for pivot, row in dense]
     assert verdicts[True] > 500 and verdicts[False] > 500
+
+
+def bruteOffsets(freeMatrix, invariants):
+    """Every t x r matrix K whose row i has entries in [0, b_i) and
+    satisfies K @ A_F == 0 modulo b_i, for A_F given by its r rows."""
+    r = len(freeMatrix)
+    rowChoices = [[k for k in itertools.product(range(b), repeat=r)
+                   if all(sum(map(mul, k, col)) % b == 0 for col in zip(*freeMatrix))]
+                  for b in invariants]
+    return set(itertools.product(*rowChoices))
+
+
+def test_offsets_match_brute_force():
+    """sub.offsets on every (source, target torsion) pair with at most 10^4
+    candidate matrices: reduced row by row, exactly the solutions of
+    K @ A_F == 0, without repeats and all zeros first.  fano and t8 have a
+    0 x 0 A_F, example52's has cokernel Z/2 and pappus's is unimodular."""
+    checked = 0
+    for name in ("fano", "t8", "uniform:2,4", "example52", "pappus"):
+        sub = sublatticeOf(computeFoundation(namedMatroid(name)).foundation)
+        r = len(sub.freeMatrix)
+        for invariants in ((2,), (3,), (6,), (2, 4)):
+            if prod(invariants) ** r > 10 ** 4:
+                continue
+            offsets = sub.offsets(invariants)
+            reduced = [tuple(tuple(x % b for x in row) for row, b in zip(offset, invariants))
+                       for offset in offsets]
+            assert set(reduced) == bruteOffsets(sub.freeMatrix, invariants), (name, invariants)
+            assert len(set(reduced)) == len(offsets), (name, invariants)
+            assert offsets[0] == ((0,) * r,) * len(invariants), (name, invariants)
+            checked += 1
+    assert checked == 18
+    example52 = sublatticeOf(computeFoundation(namedMatroid("example52")).foundation)
+    assert len(example52.offsets((2,))) == 2
+
+
+def isRows(matrix):
+    """Whether the matrix is a tuple of tuples of ints."""
+    return type(matrix) is tuple and all(
+        type(row) is tuple and all(type(x) is int for x in row) for row in matrix)
+
+
+def test_every_matrix_handed_out_is_a_tuple_of_int_tuples():
+    example52 = computeFoundation(namedMatroid("example52"))
+    fano = computeFoundation(namedMatroid("fano"))
+    u24 = computeFoundation(namedMatroid("uniform:2,4")).foundation
+    cases = [(example52.foundation, gfPasture(5)), (fano.foundation, gfPasture(2)),
+             (fano.foundation, builtinPasture("krasner")),
+             (example52.foundation, builtinPasture("sign")), (u24, builtinPasture("U")),
+             (u24, u24)]
+    for source, target in cases:
+        found = searchMorphisms(source, target)
+        assert found, (source.name, target.name)
+        assert all(isRows(f.matrix) and isRows(f.hom.matrix) for f in found)
+    reps = representationsOverField(namedMatroid("example52"), 5)
+    assert reps and all(isRows(rep.matrix) for rep in reps)
+    # P0 maps into itself, so a foundation equal to P0 has a P0Morphism certificate
+    cert = nonRepresentabilityCertificate(
+        None, foundationResult=types.SimpleNamespace(foundation=builtinPasture("P0")))
+    assert cert.kind == "P0Morphism" and isRows(cert.morphism.matrix)
+    assert isRows(example52.rhoZero.matrix) and isRows(fano.rhoZero.matrix)
+    groups = [GroupPresentation(invariants, 0) for invariants in ([], [2], [6], [2, 4])]
+    for source, target in itertools.product(groups, repeat=2):
+        assert all(isRows(h.matrix) for h in homFinite(source, target))

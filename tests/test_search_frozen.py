@@ -28,7 +28,7 @@ from foundry.morphism import (
     sublatticeOf,
 )
 from foundry.pasture import builtinPasture, gfPasture
-from foundry.zlattice import GroupHom, IntMatrix
+from foundry.zlattice import GroupHom
 
 FROZEN = json.loads((Path(__file__).parent / "data" / "search_frozen.json").read_text())
 
@@ -55,8 +55,7 @@ def assembled(monkeypatch):
 
     def recordingAssemble(p1, p2, *args):
         lifted = original(p1, p2, *args)
-        lifts.extend(GroupHom(p1.group, p2.group, IntMatrix(rows, cols=p1.group.dim))
-                     for rows in lifted)
+        lifts.extend(GroupHom(p1.group, p2.group, rows) for rows in lifted)
         return lifted
 
     monkeypatch.setattr(foundry.morphism, "assemble", recordingAssemble)

@@ -177,7 +177,6 @@ UNREFERENCED = {
     "isIsomorphism": "oracle: the tests check findIso results with it",
     "gpFromMorphism": "oracle: the tests check representations against it; bench/tracing.py wraps it",
     "validateGP": "oracle: the tests check Grassmann-Plucker functions with it",
-    "GroupHom.compose": "oracle: the tests check hom composition with it",
     "GroupPresentation.allElements": "oracle: brute-force morphism enumeration in the tests",
     "FiniteField.units": "oracle: the tests check each field's generator with it",
     "solveModular": "bench/tracing.py wraps it",

@@ -53,7 +53,7 @@ def record(pasture):
         sub = fullRankSublattice(pasture)
     except NotGeneratedByFundamentalElements:
         return "not generated"
-    data = [sub.generators, sub.rules, sub.typeFourLists, sub.freeMatrix.data]
+    data = [sub.generators, sub.rules, sub.typeFourLists, sub.freeMatrix]
     digest = hashlib.sha256(json.dumps(data).encode()).hexdigest()[:12]
     return [sub.counts[k] for k in ("p1", "p2", "p3", "p4")] + [digest]
 

@@ -9,9 +9,11 @@ as JSON, or "not generated" when the construction refused the source.
 Cases: every catalogue foundation and its dual ("name*"), the uniform
 foundations of the benchmark ladder together with U(3,8) and U(5,8), the
 builtin pastures with free rank, seeded random pastures ("random:i",
-their data stored in the case) that exercise the type-2 rule the matroid
-foundations never pick, and the large non-uniform foundations of U(3,8),
-U(4,8) and U(4,9) with their first basis removed ("minus-basis:name").
+their data stored in the case), the large non-uniform foundations of
+U(3,8), U(4,8) and U(4,9) with their first basis removed
+("minus-basis:name"), and the foundations of nonpappus\\6 and
+nonpappus\\8 ("name\\e", element e deleted), the matroid foundations
+that pick a type-2 rule, as several random pastures do.
 """
 
 import functools
@@ -30,6 +32,19 @@ from foundry.zlattice import spansLattice
 FROZEN = json.loads((Path(__file__).parent / "data" / "sublattice_frozen.json").read_text())
 
 
+def deletion(m, e):
+    """m with element e deleted: the bases that avoid e, with the elements
+    after e relabelled down by one."""
+    return Matroid.fromBases(m.n - 1, [[x - (x > e) for x in b] for b in m.bases if e not in b])
+
+
+def matroidOf(name):
+    """The catalogue matroid name, or for "name\\e" its deletion of e."""
+    name, _, e = name.partition("\\")
+    m = namedMatroid(name)
+    return deletion(m, int(e)) if e else m
+
+
 def sourceOf(case, doc):
     if case.startswith("random:"):
         return pastureFromJson(doc["pasture"])
@@ -38,7 +53,7 @@ def sourceOf(case, doc):
     if case.startswith("minus-basis:"):
         m = namedMatroid(case[len("minus-basis:"):])
         return computeFoundation(Matroid.fromBases(m.n, m.bases[1:])).foundation
-    m = namedMatroid(case.rstrip("*"))
+    m = matroidOf(case.rstrip("*"))
     return computeFoundation(m.dual() if case.endswith("*") else m).foundation
 
 

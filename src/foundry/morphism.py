@@ -25,21 +25,25 @@ type-four check is a slot, a torsion constant plus an integer combination
 of the images chosen so far; a sublattice compiles its slots once
 (SlotProgram), and the search carries their partial sums down the tree as
 one list of ints per target coordinate.  Candidates come from tables that
-this module builds into the target once (ruleCandidates and scaledPairs),
-so repeated searches into one target, such as the shared gfPasture(q), pay
-for them once.  Their order fixes the enumeration order.  The tables and a
-source's sublattice (sublatticeOf) live in the pasture's search slot, which
-only this module fills (SearchTables).  Fields (one coordinate), GF(2) and
-krasner (none) and targets with free rank all run this one path.
+this module builds into the target once (torsionHoms, ruleCandidates and
+scaledPairs), the first time a search reaches them, so repeated searches
+into one target, such as the shared gfPasture(q), pay for them once.  Their
+order fixes the enumeration order.  The tables and a source's sublattice
+(sublatticeOf) live in the pasture's search slot, which only this module
+fills (SearchTables), and each table built is reported to the field cache
+(pasture.tableBuilt).  Fields (one coordinate), GF(2) and krasner (none)
+and targets with free rank all run this one path.
 
 A listing keeps at most MAX_MORPHISMS maps; countMorphisms keeps none.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from math import gcd, lcm, prod
 from operator import mul
 
+from .pasture import tableBuilt
 from .zlattice import (
     GroupHom,
     GroupPresentation,
@@ -236,7 +240,8 @@ class SlotProgram:
     y_1..y_(l-2), and its parent's image y_(l-1).  Its reads add the
     parent's image on the fly, and it folds that image into its live slots
     only once one of its candidates survives, so a node whose candidates
-    all fail never pays for the carry.
+    all fail never pays for the carry.  So does the root, whose parent's
+    slot values, psi(tau) for the slot constants tau, are mapped as read.
 
     taus: each slot's constant (a torsion element of the source), in slot order.
     levels: per level l, (kind, ruleRead, ruleCoeffs, entries, carry):
@@ -629,18 +634,19 @@ def fullRankSublattice(pasture):
 
 class SearchTables:
     """A pasture's search slot: the sublattice out of it (sublatticeOf) and
-    the tables into it (ruleCandidates, scaledPairs), each about one entry
-    per fundamental pair; gfPasture weighs a field by their number."""
+    the tables into it (torsionHoms, ruleCandidates, scaledPairs), each at
+    most about one entry per unit; gfPasture weighs a field by their number."""
 
-    __slots__ = ("sublattice", "rules", "scaled")
+    __slots__ = ("sublattice", "torsion", "rules", "scaled")
 
     def __init__(self):
         self.sublattice = None
+        self.torsion = {}
         self.rules = {}
         self.scaled = {}
 
     def __len__(self):
-        return len(self.rules) + len(self.scaled)
+        return len(self.torsion) + len(self.rules) + len(self.scaled)
 
 
 def _searchTables(pasture):
@@ -677,6 +683,7 @@ def ruleCandidates(pasture, coeffs):
             for x, y in pasture.pairs:
                 table.setdefault(g.add(g.scale(c, x), g.scale(d, y)), {})[x] = None
         table = tables[coeffs] = {k: tuple(v) for k, v in table.items()}
+        tableBuilt(pasture)
     return table
 
 
@@ -689,28 +696,28 @@ def scaledPairs(pasture, c, d):
         g = pasture.group
         pairs = tables[c, d] = frozenset(
             g.scale(c, x) + g.scale(d, y) for x, y in pasture.pairs)
+        tableBuilt(pasture)
     return pairs
 
 
 def torsionHoms(p1, p2, isoOnly=False):
-    """Torsion-block candidates: homs of the torsion parts fixing epsilon.
-    Refused before any is listed when there are more than MAX_TORSION_HOMS."""
-    t1 = GroupPresentation(p1.group.invariants, 0)
-    t2 = GroupPresentation(p2.group.invariants, 0)
-    if prod(gcd(a, b) for a in t1.invariants for b in t2.invariants) > MAX_TORSION_HOMS:
-        raise TooManyTorsionHoms(
-            "more than %d homomorphisms between the torsion parts of %s and %s"
-            % (MAX_TORSION_HOMS, p1.name or "the source", p2.name or "the target"))
-    eps1 = p1.epsilon[:t1.dim]
-    eps2 = p2.epsilon[:t2.dim]
-    out = []
-    for h in homFinite(t1, t2):
-        if h.apply(eps1) != eps2:
-            continue
-        if isoOnly and not h.isSurjective():
-            continue
-        out.append(h)
-    return out
+    """Torsion-block candidates: homs of the torsion parts fixing epsilon, in
+    homFinite order, kept in the target's table under the source's torsion
+    invariants, the torsion part of its epsilon and isoOnly.  Refused, keeping
+    nothing, before any is listed when there are more than MAX_TORSION_HOMS."""
+    key = (p1.group.invariants, p1.epsilon[:len(p1.group.invariants)], isoOnly)
+    tables = _searchTables(p2).torsion
+    if key not in tables:
+        t1, t2 = (GroupPresentation(p.group.invariants, 0) for p in (p1, p2))
+        if prod(gcd(a, b) for a in t1.invariants for b in t2.invariants) > MAX_TORSION_HOMS:
+            raise TooManyTorsionHoms(
+                "more than %d homomorphisms between the torsion parts of %s and %s"
+                % (MAX_TORSION_HOMS, p1.name or "the source", p2.name or "the target"))
+        eps2 = p2.epsilon[:t2.dim]
+        tables[key] = tuple(h for h in homFinite(t1, t2) if h.apply(key[1]) == eps2
+                            and (not isoOnly or h.isSurjective()))
+        tableBuilt(p2)
+    return tables[key]
 
 
 class SearchStats:
@@ -779,6 +786,19 @@ def assemble(p1, p2, sub, psiRows, psiImages, images, stats):
     return out
 
 
+class _Constants:
+    """Coordinate i of psi(tau) over the slot constants tau, the root's
+    parent slot values, each mapped when read (by index, also when iterated)."""
+
+    __slots__ = ("image", "taus", "i")
+
+    def __init__(self, image, taus, i):
+        self.image, self.taus, self.i = image, taus, i
+
+    def __getitem__(self, k):
+        return self.image(self.taus[k])[self.i]
+
+
 class _Search:
     """One search's levels and its depth-first walk over them.
 
@@ -791,10 +811,15 @@ class _Search:
     into one tuple, up in the target's fundamental pairs scaled by
     (c0u, c0v) (scaledPairs).  The kept maps are collected in found, or
     only counted when found is None.
+
+    Nothing is looked up before the walk needs it: each level's slot,
+    [kind, ruleRead, rule table, checks, carry], is filled when the walk
+    first enters the level, its checks (None until then) when one of its
+    nodes first has a candidate; psi's generator images wait for a leaf.
     """
 
     __slots__ = ("p1", "p2", "sub", "findOne", "findIso", "stats", "found", "mods", "freeStart",
-                 "partners", "pairs", "heads", "levels", "images", "psiRows", "psiImages")
+                 "partners", "pairs", "heads", "levels", "images", "psi", "psiImages")
 
     def __init__(self, p1, p2, sub, findOne, findIso, stats, keep):
         self.p1, self.p2, self.sub = p1, p2, sub
@@ -806,40 +831,35 @@ class _Search:
         self.partners = p2.partners
         self.pairs = p2.pairs
         self.heads = sub.uncheckedHeads
-        self.levels = tuple(
-            (kind, ruleRead, ruleCandidates(p2, ruleCoeffs) if ruleCoeffs else None,
-             tuple((((kU, uPrev, uL), (kV, vPrev, vL)), scaledPairs(p2, c0u, c0v))
-                   for kU, uPrev, uL, kV, vPrev, vL, c0u, c0v in entries),
-             carry)
-            for kind, ruleRead, ruleCoeffs, entries, carry in sub.program().levels)
+        self.levels = [None] * len(sub.rules)
 
     def run(self, psi):
         """Search below one torsion block; True when findOne has its answer."""
         self.images = []
-        n1 = len(self.p1.group.invariants)
-        self.psiRows = psi.matrix
-        self.psiImages = [psi.apply(x[:n1]) for x in self.sub.generators]
-        free = (0,) * self.p2.group.freeRank
-        mapped = {}
-        starts = []
-        for tau in self.sub.program().taus:
-            start = mapped.get(tau)
-            if start is None:
-                start = mapped[tau] = psi.apply(tau[:n1]) + free
-            starts.append(start)
-        rows = [[start[i] for start in starts] for i in range(len(self.mods))]
-        return self.descend(1, rows, (0,) * len(self.mods), {})
+        self.psi, self.psiImages = psi, None
+        n1, free = psi.source.dim, (0,) * self.p2.group.freeRank
+        image = cache(lambda tau: psi.apply(tau[:n1]) + free)
+        above = [_Constants(image, self.sub.program().taus, i) for i in range(len(self.mods))]
+        return self.descend(1, above, (0,) * len(self.mods), {})
 
     def descend(self, level, above, parent, echelon):
         """Visit a node: above holds the parent's slot values, parent its image."""
         if level > len(self.levels):
             self.stats.leafCandidates += 1
-            for rows in assemble(self.p1, self.p2, self.sub, self.psiRows, self.psiImages,
+            if self.psiImages is None:
+                n1 = self.psi.source.dim
+                self.psiImages = [self.psi.apply(x[:n1]) for x in self.sub.generators]
+            for rows in assemble(self.p1, self.p2, self.sub, self.psi.matrix, self.psiImages,
                                  self.images, self.stats):
                 if self.emit(rows):
                     return True
             return False
-        kind, ruleRead, table, checks, carry = self.levels[level - 1]
+        slot = self.levels[level - 1]
+        if slot is None:
+            kind, ruleRead, coeffs, _, carry = self.sub.program().levels[level - 1]
+            slot = self.levels[level - 1] = [
+                kind, ruleRead, ruleCandidates(self.p2, coeffs) if coeffs else None, None, carry]
+        kind, ruleRead, table, checks, carry = slot
         mods = self.mods
         if table is not None:
             k, c = ruleRead
@@ -850,6 +870,10 @@ class _Search:
             candidates = self.partners
         else:
             candidates = self.partners[parent]
+        if checks is None and candidates:
+            checks = slot[3] = tuple(
+                (((kU, uPrev, uL), (kV, vPrev, vL)), scaledPairs(self.p2, c0u, c0v)) for
+                kU, uPrev, uL, kV, vPrev, vL, c0u, c0v in self.sub.program().levels[level - 1][3])
         rows = None
         findIso, images = self.findIso, self.images
         for y in candidates:

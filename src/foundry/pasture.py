@@ -136,17 +136,24 @@ class Pasture:
         return "<%s: %r, %d hexagons>" % (label, self.group, len(self.hexagons))
 
 
-# gfPasture's pastures by q, least recently used first.  Nothing changes a
-# Pasture after __init__ but what the search fills in, so each can be shared.
-# The cached fields weigh at most MAX_FIELD_ORDER in all (see _weight), about
-# one largest field's worth.
+# gfPasture's pastures by q, least recently used first, and their summed
+# weight, kept up to date.  Nothing changes a Pasture after __init__ but what
+# the search fills in, so each can be shared.  A cached field weighs q, and q
+# more for each search table built into it (tableBuilt), as each holds about
+# q entries; the sum stays at most MAX_FIELD_ORDER, one largest field's worth.
 _fieldPastures = {}
+_cachedWeight = 0
 
 
 def _weight(pasture):
-    """A cached field's size in units of q: its own tables and each of the
-    search tables built into it, all of which hold about q entries."""
     return pasture.field.q * (1 + len(pasture.search or ()))
+
+
+def tableBuilt(pasture):
+    """Weigh a table that morphism.py just built into pasture, if cached."""
+    global _cachedWeight
+    if pasture.field is not None and _fieldPastures.get(pasture.field.q) is pasture:
+        _cachedWeight += pasture.field.q
 
 
 def gfPasture(q):
@@ -156,15 +163,19 @@ def gfPasture(q):
     call evicts the fields used least recently until the cached weights sum
     to at most MAX_FIELD_ORDER; the field returned stays, and if it alone
     weighs more, what the search built into it is dropped (a search already
-    running keeps the tables it looked up).
+    running keeps the tables it looked up).  A call weighs only the fields
+    it adds, evicts or strips, as the sum is kept up to date.
     """
+    global _cachedWeight
+    q = int(q)  # the key tableBuilt finds a field by: FiniteField's order
     pasture = _fieldPastures.pop(q, None)
     if pasture is None:
         pasture = _buildGfPasture(q)
-    total = _weight(pasture) + sum(_weight(p) for p in _fieldPastures.values())
-    while _fieldPastures and total > MAX_FIELD_ORDER:
-        total -= _weight(_fieldPastures.pop(next(iter(_fieldPastures))))
-    if total > MAX_FIELD_ORDER:
+        _cachedWeight += q
+    while _fieldPastures and _cachedWeight > MAX_FIELD_ORDER:
+        _cachedWeight -= _weight(_fieldPastures.pop(next(iter(_fieldPastures))))
+    if _cachedWeight > MAX_FIELD_ORDER:
+        _cachedWeight -= _weight(pasture) - q
         pasture.search = None
     _fieldPastures[q] = pasture
     return pasture

@@ -9,7 +9,13 @@ from foundry import pasture as pastureModule
 from foundry._gf import MAX_FIELD_ORDER, FieldError, FiniteField
 from foundry.foundation import computeFoundation
 from foundry.matroid import _NAMED_NONBASES, namedMatroid
-from foundry.morphism import SearchStats, ruleCandidates, scaledPairs, searchMorphisms
+from foundry.morphism import (
+    SearchStats,
+    ruleCandidates,
+    scaledPairs,
+    searchMorphisms,
+    torsionHoms,
+)
 from foundry.pasture import (
     InvalidPastureError,
     Pasture,
@@ -297,6 +303,7 @@ def test_field_cache_evicts_the_least_recently_used_fields(monkeypatch):
     and the fields used longest ago leave first."""
     monkeypatch.setattr(pastureModule, "MAX_FIELD_ORDER", 20)
     monkeypatch.setattr(pastureModule, "_fieldPastures", {})
+    monkeypatch.setattr(pastureModule, "_cachedWeight", 0)
     eight = gfPasture(8)
     for q, kept in ((7, [8, 7]), (9, [7, 9]), (7, [9, 7]), (11, [7, 11]), (19, [19]),
                     (2, [2]), (8, [2, 8]), (9, [2, 8, 9]), (3, [8, 9, 3])):
@@ -314,6 +321,7 @@ def test_field_cache_counts_the_search_tables_of_each_field(monkeypatch):
     its tables, and a table looked up before that is left intact."""
     monkeypatch.setattr(pastureModule, "MAX_FIELD_ORDER", 30)
     monkeypatch.setattr(pastureModule, "_fieldPastures", {})
+    monkeypatch.setattr(pastureModule, "_cachedWeight", 0)
 
     def weights():
         return {q: p.field.q * (1 + (len(p.search.rules) + len(p.search.scaled)
@@ -336,6 +344,71 @@ def test_field_cache_counts_the_search_tables_of_each_field(monkeypatch):
     assert weights() == {11: 11}  # 9 evicted, then 11's tables (33 in all) dropped
     assert table == expected and ruleCandidates(eleven, (1,)) == expected
     assert gfPasture(7) is not seven
+
+
+def test_the_cached_weight_follows_every_call_and_table(monkeypatch):
+    """A seeded run of 2,400 steps, with the ceiling lowered to 40: each a
+    gfPasture call, or a rule table, scaled pair set or torsion table built
+    into the field just returned or into an older one still held, cached or
+    not.  After every step the cache holds the fields, in the order, and
+    with the tables, that re-weighing every cached field on each call
+    gives: q for a field and q for each table built into it, least
+    recently used fields evicted first, and a field that alone weighs too
+    much stripped of its tables.  The kept total is their sum."""
+    ceiling = 40
+    monkeypatch.setattr(pastureModule, "MAX_FIELD_ORDER", ceiling)
+    monkeypatch.setattr(pastureModule, "_fieldPastures", {})
+    monkeypatch.setattr(pastureModule, "_cachedWeight", 0)
+    rng = random.Random(21)
+    sources = [builtinPasture(name) for name in ("sign", "H", "krasner")]
+    built = {}  # id of a held field -> the table keys the oracle saw built into it
+    expected = {}  # the oracle's cache: q -> field, least recently used first
+
+    def weight(field):
+        return field.field.q * (1 + len(built[id(field)]))
+
+    def tableCount(field):
+        tables = field.search
+        return tables and len(tables.rules) + len(tables.scaled) + len(tables.torsion) or 0
+
+    held = []
+    for step in range(2400):
+        kind = rng.randrange(4) if held else 0
+        if kind == 0:
+            q = rng.choice([2, 3, 4, 5, 7, 8, 9, 11, 13])
+            cached = expected.pop(q, None)
+            total = sum(map(weight, expected.values())) + (weight(cached) if cached else q)
+            while expected and total > ceiling:
+                total -= weight(expected.pop(next(iter(expected))))
+            field = gfPasture(q)
+            assert cached is None or field is cached, step
+            if cached is None:
+                built[id(field)] = set()
+                held.append(field)
+            if total > ceiling:
+                built[id(field)] = set()
+                assert field.search is None, step
+            expected[q] = current = field
+        else:
+            field = current if rng.random() < 0.5 else rng.choice(held)
+            if kind == 1:
+                key = ("rules", rng.choice([(1,), (-1,), (2,), (1, 1), (2, -1)]))
+                ruleCandidates(field, key[1])
+            elif kind == 2:
+                key = ("scaled", rng.choice([(1, 1), (1, 2), (2, 1), (-1, 1)]))
+                scaledPairs(field, *key[1])
+            else:
+                source, isoOnly = rng.choice(sources), rng.random() < 0.5
+                key = ("torsion", source.group.invariants, source.epsilon, isoOnly)
+                torsionHoms(source, field, isoOnly)
+            built[id(field)].add(key)
+        cache = pastureModule._fieldPastures
+        assert list(cache) == list(expected), step
+        assert all(cache[q] is field for q, field in expected.items()), step
+        assert [tableCount(field) for field in cache.values()] == [
+            len(built[id(field)]) for field in cache.values()], step
+        assert pastureModule._cachedWeight == sum(map(weight, cache.values())), step
+        assert kind or pastureModule._cachedWeight <= ceiling, step
 
 
 def test_searches_leave_a_cached_field_as_a_fresh_one():

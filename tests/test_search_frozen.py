@@ -22,6 +22,7 @@ from pathlib import Path
 import pytest
 
 import foundry.morphism
+import foundry.pasture
 from foundry.foundation import computeFoundation
 from foundry.morphism import (
     PastureMorphism,
@@ -130,6 +131,44 @@ UNCHECKED_HEADS = {
     "ag23": 1, "t8": 1, "uniform:2,4": 0, "uniform:2,5": 0, "uniform:3,6": 0,
     "uniform:3,7": 0,
 }
+
+
+# The rule table and scaled pair set keys that pappus -> GF(11) builds into
+# a fresh field, recorded from the search that looked up every level's
+# tables before its walk began.  The walk enters every level, so a search
+# that builds tables on first entry builds them all.
+PAPPUS_GF11_TABLES = ({(-1,)}, {(1, 1)})
+
+
+def freshSearch(monkeypatch, source, q, flags):
+    """(stats record, target) of a search from source into GF(q), built
+    afresh in an emptied field cache, checked against its frozen record."""
+    monkeypatch.setattr(foundry.pasture, "_fieldPastures", {})
+    monkeypatch.setattr(foundry.pasture, "_cachedWeight", 0)
+    target = gfPasture(q)
+    stats = SearchStats()
+    found = searchMorphisms(sourceOf(source), target, findOne=flags[0] == "1", stats=stats)
+    keys = [m.sortKey() for m in found]
+    d = stats.asDict()
+    got = [d["torsionHoms"], d["leafCandidates"], d["assembled"], d["valid"], len(keys),
+           hashlib.sha256(repr(keys).encode()).hexdigest()[:12]]
+    assert got == FROZEN["%s>gf%d>%s" % (source, q, flags)]
+    return target
+
+
+@pytest.mark.parametrize("flags", ["00", "10"])
+def test_a_search_builds_only_the_tables_of_the_levels_it_enters(monkeypatch, flags):
+    """F(nonpappus) and F(vamos) have no level-1 candidate in GF(13), so a
+    search into an unused GF(13) builds level 1's rule table there and no
+    scaled pair set; pappus -> GF(11) enters every level and builds what
+    was built before the walk began."""
+    for source in ("nonpappus", "vamos"):
+        target = freshSearch(monkeypatch, source, 13, flags)
+        level1 = sublatticeOf(sourceOf(source)).program().levels[0]
+        assert set(target.search.rules) == {level1[2]}, source
+        assert target.search.scaled == {}, source
+    target = freshSearch(monkeypatch, "pappus", 11, flags)
+    assert (set(target.search.rules), set(target.search.scaled)) == PAPPUS_GF11_TABLES
 
 
 def test_unchecked_heads_per_catalogue_foundation():

@@ -238,15 +238,13 @@ FOUNDATION_LAYERS = (("foundry.foundation", "tutteRelations"),
                      ("foundry.zlattice", "cokernelPresentation"))
 
 
-def test_compute_foundation_calls_the_traced_foundation_layers(monkeypatch):
-    """Each name is wrapped as bench/tracing.py wraps it: on its class, or in
-    every foundry module that bound it."""
-    from foundry.foundation import computeFoundation
-    from foundry.matroid import namedMatroid
-
-    assert set(FOUNDATION_LAYERS) <= set(tracedNames()["SPANNED"])
+def countCalls(monkeypatch, layers):
+    """Calls per attribute name of the layers, each wrapped as
+    bench/tracing.py wraps it: on its class, or in every foundry module
+    that bound it."""
+    assert set(layers) <= set(tracedNames()["SPANNED"])
     calls = Counter()
-    for owner, attr in FOUNDATION_LAYERS:
+    for owner, attr in layers:
         original = getattr(resolve(owner), attr)
 
         def counted(*args, _key=attr, _fn=original, **kwargs):
@@ -260,5 +258,40 @@ def test_compute_foundation_calls_the_traced_foundation_layers(monkeypatch):
             for key, value in list(vars(ns).items()):
                 if value is original:
                     monkeypatch.setattr(ns, key, counted)
+    return calls
+
+
+def test_compute_foundation_calls_the_traced_foundation_layers(monkeypatch):
+    from foundry.foundation import computeFoundation
+    from foundry.matroid import namedMatroid
+
+    calls = countCalls(monkeypatch, FOUNDATION_LAYERS)
     computeFoundation(namedMatroid("pappus"))
     assert sorted(calls) == sorted(attr for _, attr in FOUNDATION_LAYERS)
+
+
+# The names bench/tracing.py times on a search's path, each a per-layer
+# metric that reads 0 once a field query or an orientability query stops
+# calling it.
+SEARCH_LAYERS = (("foundry.pasture", "gfPasture"), ("foundry.morphism", "torsionHoms"),
+                 ("foundry.morphism", "searchMorphisms"), ("foundry.morphism", "assemble"))
+
+
+def test_field_and_sign_queries_call_the_traced_search_layers(monkeypatch):
+    """A representationsOverField call passes through every search layer,
+    an isOrientable call through all but gfPasture, each wrapped as in
+    test_compute_foundation_calls_the_traced_foundation_layers, so a search
+    that reads its torsion homs or its field from a table still calls them."""
+    from foundry.foundation import computeFoundation
+    from foundry.matroid import namedMatroid
+    from foundry.representation import isOrientable, representationsOverField
+
+    m = namedMatroid("nonfano")
+    fr = computeFoundation(m)
+    representationsOverField(m, 3, foundationResult=fr)
+    calls = countCalls(monkeypatch, SEARCH_LAYERS)
+    assert representationsOverField(m, 3, foundationResult=fr)
+    assert sorted(calls) == sorted(attr for _, attr in SEARCH_LAYERS)
+    calls.clear()
+    assert isOrientable(m, foundationResult=fr)
+    assert sorted(calls) == sorted(attr for _, attr in SEARCH_LAYERS if attr != "gfPasture")

@@ -713,8 +713,7 @@ def torsionHoms(p1, p2, isoOnly=False):
             raise TooManyTorsionHoms(
                 "more than %d homomorphisms between the torsion parts of %s and %s"
                 % (MAX_TORSION_HOMS, p1.name or "the source", p2.name or "the target"))
-        eps2 = p2.epsilon[:t2.dim]
-        tables[key] = tuple(h for h in homFinite(t1, t2) if h.apply(key[1]) == eps2
+        tables[key] = tuple(h for h in homFinite(t1, t2) if h.apply(key[1]) == p2.epsilon[:t2.dim]
                             and (not isoOnly or h.isSurjective()))
         tableBuilt(p2)
     return tables[key]
@@ -786,17 +785,20 @@ def assemble(p1, p2, sub, psiRows, psiImages, images, stats):
     return out
 
 
-class _Constants:
-    """Coordinate i of psi(tau) over the slot constants tau, the root's
-    parent slot values, each mapped when read (by index, also when iterated)."""
+class _Constants(dict):
+    """Coordinate i of psi(tau) over the slot constants tau, the root's parent slot
+    values: each mapped when first read; all, as columns maps them, when iterated."""
 
-    __slots__ = ("image", "taus", "i")
+    __slots__ = ("image", "taus", "columns", "i")
 
-    def __init__(self, image, taus, i):
-        self.image, self.taus, self.i = image, taus, i
+    def __init__(self, image, taus, columns, i):
+        self.image, self.taus, self.columns, self.i = image, taus, columns, i
 
-    def __getitem__(self, k):
-        return self.image(self.taus[k])[self.i]
+    def __missing__(self, k):
+        return self.setdefault(k, self.image(self.taus[k])[self.i])
+
+    def __iter__(self):
+        return iter(self.columns()[self.i])
 
 
 class _Search:
@@ -812,14 +814,13 @@ class _Search:
     (c0u, c0v) (scaledPairs).  The kept maps are collected in found, or
     only counted when found is None.
 
-    Nothing is looked up before the walk needs it: each level's slot,
-    [kind, ruleRead, rule table, checks, carry], is filled when the walk
-    first enters the level, its checks (None until then) when one of its
-    nodes first has a candidate; psi's generator images wait for a leaf.
+    Nothing is looked up before the walk needs it: a level's slot [kind,
+    ruleRead, rule table, checks, carry] is filled on first entry, its checks
+    (None until then) once a node there has a candidate; psi's images wait.
     """
 
     __slots__ = ("p1", "p2", "sub", "findOne", "findIso", "stats", "found", "mods", "freeStart",
-                 "partners", "pairs", "heads", "levels", "images", "psi", "psiImages")
+                 "partners", "pairs", "heads", "levels", "images", "psi", "image", "psiImages")
 
     def __init__(self, p1, p2, sub, findOne, findIso, stats, keep):
         self.p1, self.p2, self.sub = p1, p2, sub
@@ -828,8 +829,7 @@ class _Search:
         g2 = p2.group
         self.mods = g2.invariants + (0,) * g2.freeRank
         self.freeStart = len(g2.invariants)
-        self.partners = p2.partners
-        self.pairs = p2.pairs
+        self.partners, self.pairs = p2.partners, p2.pairs
         self.heads = sub.uncheckedHeads
         self.levels = [None] * len(sub.rules)
 
@@ -837,18 +837,19 @@ class _Search:
         """Search below one torsion block; True when findOne has its answer."""
         self.images = []
         self.psi, self.psiImages = psi, None
-        n1, free = psi.source.dim, (0,) * self.p2.group.freeRank
-        image = cache(lambda tau: psi.apply(tau[:n1]) + free)
-        above = [_Constants(image, self.sub.program().taus, i) for i in range(len(self.mods))]
-        return self.descend(1, above, (0,) * len(self.mods), {})
+        n1, free, d = psi.source.dim, (0,) * self.p2.group.freeRank, len(self.mods)
+        image = self.image = cache(lambda x: psi.apply(x[:n1]) + free)
+        taus = self.sub.program().taus
+        columns = cache(lambda: list(zip(*map(image, taus))))
+        above = [_Constants(image, taus, columns, i) for i in range(d)]
+        return self.descend(1, above, (0,) * d, {})
 
     def descend(self, level, above, parent, echelon):
         """Visit a node: above holds the parent's slot values, parent its image."""
         if level > len(self.levels):
             self.stats.leafCandidates += 1
             if self.psiImages is None:
-                n1 = self.psi.source.dim
-                self.psiImages = [self.psi.apply(x[:n1]) for x in self.sub.generators]
+                self.psiImages = list(map(self.image, self.sub.generators))
             for rows in assemble(self.p1, self.p2, self.sub, self.psi.matrix, self.psiImages,
                                  self.images, self.stats):
                 if self.emit(rows):

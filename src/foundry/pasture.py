@@ -136,11 +136,10 @@ class Pasture:
         return "<%s: %r, %d hexagons>" % (label, self.group, len(self.hexagons))
 
 
-# gfPasture's pastures by q, least recently used first, and their summed
-# weight, kept up to date.  Nothing changes a Pasture after __init__ but what
-# the search fills in, so each can be shared.  A cached field weighs q, and q
-# more for each search table built into it (tableBuilt), as each holds about
-# q entries; the sum stays at most MAX_FIELD_ORDER, one largest field's worth.
+# gfPasture's pastures by q, least recently used first, and their summed weight:
+# q for a field and q for each search table built into it (tableBuilt), each of
+# about q entries, in all at most MAX_FIELD_ORDER, one largest field's worth.
+# Nothing changes a Pasture after __init__ but the search, so each is shared.
 _fieldPastures = {}
 _cachedWeight = 0
 

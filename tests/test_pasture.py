@@ -11,6 +11,7 @@ from foundry.foundation import computeFoundation
 from foundry.matroid import _NAMED_NONBASES, namedMatroid
 from foundry.morphism import (
     SearchStats,
+    TooManyTorsionHoms,
     ruleCandidates,
     scaledPairs,
     searchMorphisms,
@@ -409,6 +410,22 @@ def test_the_cached_weight_follows_every_call_and_table(monkeypatch):
             len(built[id(field)]) for field in cache.values()], step
         assert pastureModule._cachedWeight == sum(map(weight, cache.values())), step
         assert kind or pastureModule._cachedWeight <= ceiling, step
+
+
+def test_refused_torsion_homs_leave_no_table_and_no_weight(monkeypatch):
+    """Past MAX_TORSION_HOMS, torsionHoms raises before listing and keeps
+    nothing in the target, so the field still weighs q; under the ceiling
+    it keeps the table and the field weighs 2q."""
+    monkeypatch.setattr(pastureModule, "_fieldPastures", {})
+    monkeypatch.setattr(pastureModule, "_cachedWeight", 0)
+    sign, target = builtinPasture("sign"), gfPasture(7)
+    monkeypatch.setattr("foundry.morphism.MAX_TORSION_HOMS", 1)
+    with pytest.raises(TooManyTorsionHoms):
+        torsionHoms(sign, target)
+    assert (target.search.torsion, pastureModule._cachedWeight) == ({}, 7)
+    monkeypatch.setattr("foundry.morphism.MAX_TORSION_HOMS", 2)
+    assert len(torsionHoms(sign, target)) == 1
+    assert (len(target.search.torsion), pastureModule._cachedWeight) == (1, 14)
 
 
 def test_searches_leave_a_cached_field_as_a_fresh_one():

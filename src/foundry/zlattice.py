@@ -1,11 +1,14 @@
 """Exact integer linear algebra for finitely generated abelian groups.
 
 Everything works over plain Python ints, and a matrix is the tuple of its
-rows, each a tuple of ints: Smith normal form by elimination
-over the nonzeros of each pivot row, a span check that inserts columns into
-an echelon basis, cokernel presentations that build no column transform,
-modular linear solves against a matrix factored once, and enumeration of
-homomorphisms between finite abelian groups.
+rows, each a tuple of ints: Smith normal form by elimination over the
+nonzeros of each pivot row, which reduces D (and the column transform V, for
+callers that read it) and logs its row operations instead of carrying the
+row transform U, so that a caller rebuilds only the rows of U it reads; a
+span check that inserts columns into an echelon basis; cokernel
+presentations that build no column transform and one row of U per
+generator; modular linear solves against a matrix factored once; and
+enumeration of homomorphisms between finite abelian groups.
 """
 
 from __future__ import annotations
@@ -15,21 +18,14 @@ from math import gcd
 from operator import mod, mul
 
 
-def _identityRows(n):
-    return [[0] * i + [1] + [0] * (n - 1 - i) for i in range(n)]
-
-
-def _swapRows(m, i, j):
-    m[i], m[j] = m[j], m[i]
+def _identityRows(n, width):
+    """The first n rows of the width x width identity, as lists."""
+    return [[0] * i + [1] + [0] * (width - 1 - i) for i in range(n)]
 
 
 def _swapCols(m, i, j):
     for row in m:
         row[i], row[j] = row[j], row[i]
-
-
-def _addRow(m, dst, src, factor):
-    m[dst] = [a + factor * b for a, b in zip(m[dst], m[src])]
 
 
 def _pivot(d, t):
@@ -47,20 +43,29 @@ def _pivot(d, t):
     return None if best is None else best[1:]
 
 
-def _smith(d, u, v):
-    """Reduce the list rows d to Smith normal form in place.
+def _smith(d, v):
+    """Reduce the list rows d to Smith normal form in place, and return the
+    log of its row operations, from which _rowsOfU builds rows of U.
 
-    Each row operation on d is repeated on the rows u, and each column
-    operation on the rows v; cokernelPresentation, which reads no column
-    transform, passes no rows of v, which costs nothing.
+    Each column operation on d is repeated on the rows v; cokernelPresentation,
+    which reads no column transform, passes no rows of v, which costs
+    nothing.  No row transform is carried: the log lists each row operation
+    as a triple (i, t, q), q != 0 meaning row i -= q * row t, and q == 0 a
+    swap of rows i and t.  A row step has i > t; the divisibility fix-up
+    row t += row offender is (t, offender, -1), and the negation of row t is
+    (t, t, 2).
 
     Pivot selection is deterministic: the entry of smallest absolute value in
     the working block, ties broken by lowest (row, col).  The diagonal is
-    nonnegative and each entry divides the next.  Each elimination step
-    costs the nonzeros of the pivot row of d and of u, times the rows and
-    columns it changes.  The invariant factors never need the transforms
-    (Kannan and Bachem, SIAM J. Comput. 1979).
+    nonnegative and each entry divides the next.  Each row step costs the
+    nonzeros of the pivot row of d.  When no row below the pivot keeps a
+    remainder, the column step changes the pivot row alone (and v), and a
+    unit pivot leaves no remainder in it.  The invariant factors never need
+    the transforms (Kannan and Bachem, SIAM J. Comput. 1979), and the log
+    keeps U as an LU factorisation keeps its multipliers (Golub and Van
+    Loan, Matrix Computations, 3.2).
     """
+    log = []
     m = len(d)
     n = len(d[0]) if d else 0
     t = 0
@@ -70,38 +75,41 @@ def _smith(d, u, v):
             break
         bi, bj = best
         if bi != t:
-            _swapRows(d, t, bi)
-            _swapRows(u, t, bi)
+            d[t], d[bi] = d[bi], d[t]
+            log.append((t, bi, 0))
         if bj != t:
             _swapCols(d[t:], t, bj)  # rows above t are zero right of their pivot
             _swapCols(v, t, bj)
         if d[t][t] < 0:
             d[t] = [-x for x in d[t]]
-            u[t] = [-x for x in u[t]]
-        pivot, top, topU = d[t][t], d[t], u[t]
+            log.append((t, t, 2))
+        pivot, top = d[t][t], d[t]
         # rows from t on are zero left of column t: run over the pivot row's nonzeros
         cols = list(itertools.compress(range(t + 1, n), top[t + 1:]))
-        colsU = list(itertools.compress(range(m), topU))
+        rest = []  # the rows below the pivot that keep a remainder in column t
         for i in range(t + 1, m):
             q = d[i][t] // pivot
             if q:
-                row, rowU = d[i], u[i]
+                row = d[i]
                 row[t] -= q * pivot
                 for j in cols:
                     row[j] -= q * top[j]
-                for j in colsU:
-                    rowU[j] -= q * topU[j]
-        # column t is the pivot alone unless a row step left a remainder there
-        live = [row for row in d[t:] if row[t]]
+                log.append((i, t, q))
+                if row[t]:
+                    rest.append(row)
         liveV = [row for row in v if row[t]]
-        for j in cols:
-            q = top[j] // pivot
-            if q:
-                for row in live:
+        if rest or liveV:
+            for j in cols:
+                q = top[j] // pivot
+                top[j] -= q * pivot
+                for row in rest:
                     row[j] -= q * row[t]
                 for row in liveV:
                     row[j] -= q * row[t]
-        if len(live) > 1 or any(top[j] for j in cols):
+        else:  # the column step changes the pivot row alone
+            for j in cols:
+                top[j] %= pivot
+        if rest or (pivot > 1 and any(top[j] for j in cols)):
             continue  # leftover remainders are smaller than the pivot; reselect
         offender = None
         if pivot > 1:  # a unit pivot divides every entry
@@ -110,18 +118,41 @@ def _smith(d, u, v):
                     offender = i
                     break
         if offender is not None:
-            _addRow(d, t, offender, 1)
-            _addRow(u, t, offender, 1)
+            d[t] = [a + b for a, b in zip(top, d[offender])]
+            log.append((t, offender, -1))
             continue
         t += 1
+    return log
+
+
+def _rowsOfU(log, g, rows):
+    """The rows (given by index) of the g x g row transform U that _smith
+    logged, as tuples: each is its unit row with the log applied in reverse,
+    row i -= q * row t becoming x[t] -= q * x[i].  The rows are carried as
+    columns, one list over the requested rows per coordinate, so that each
+    logged operation runs over the nonzeros of one column."""
+    k = range(len(rows))
+    xs = [[0] * len(k) for _ in range(g)]
+    for r, i in enumerate(rows):
+        xs[i][r] = 1
+    for i, t, q in reversed(log):
+        if q:
+            xi, xt = xs[i], xs[t]
+            for r in itertools.compress(k, xi):
+                xt[r] -= q * xi[r]
+        else:
+            xs[i], xs[t] = xs[t], xs[i]
+    return list(zip(*xs))
 
 
 def smithNormalForm(a, cols=0):
     """Smith normal form of the matrix with rows a (cols columns, read only
-    when a has no rows): the rows of U, D and V with U @ a @ V == D."""
+    when a has no rows): the rows of U, D and V with U @ a @ V == D.  U is
+    built from the elimination's log (_rowsOfU), all of its rows."""
     d = [list(row) for row in a]
-    u, v = _identityRows(len(d)), _identityRows(len(d[0]) if d else cols)
-    _smith(d, u, v)
+    k = len(d[0]) if d else cols
+    v = _identityRows(k, k)
+    u = _rowsOfU(_smith(d, v), len(d), range(len(d)))
     return tuple(tuple(map(tuple, m)) for m in (u, d, v))
 
 
@@ -344,19 +375,20 @@ def cokernelPresentation(relations):
     reduced in place.  Returns (presentation, projection) where projection
     is the quotient hom from the free ambient group Z^g (presented with no
     torsion) onto the cokernel in canonical coordinates.  Only the diagonal
-    and the rows of U that the projection keeps are read off the
-    elimination.
+    and the rows of U that the projection keeps, its torsion rows then its
+    free rows, are read off the elimination: no row transform is carried
+    beside d, and _rowsOfU rebuilds just those rows from its log.
     """
     d = relations
     g = len(d)
-    u = _identityRows(g)
-    _smith(d, u, [])
+    log = _smith(d, [])
     diag = [row[i] for i, row in enumerate(d[:len(d[0])])] if d else []
     torsionRows = [i for i, a in enumerate(diag) if a >= 2]
     freeRows = [i for i in range(g) if i >= len(diag) or diag[i] == 0]
     pres = GroupPresentation([diag[i] for i in torsionRows], len(freeRows))
-    rows = [[x % diag[i] for x in u[i]] for i in torsionRows] + [u[i] for i in freeRows]
-    projection = GroupHom(GroupPresentation([], g), pres, tuple(map(tuple, rows)))
+    rows = _rowsOfU(log, g, torsionRows + freeRows)
+    rows[:len(torsionRows)] = [tuple([x % a for x in row]) for row, a in zip(rows, pres.invariants)]
+    projection = GroupHom(GroupPresentation([], g), pres, tuple(rows))
     return pres, projection
 
 
@@ -370,10 +402,11 @@ class ModularSolver:
     there is no solution when some d_i does not divide (U B)_i, or some zero
     d_i meets a nonzero (U B)_i.  __init__ reduces the rows (A^T | n I) of
     W^T once (_smith), carrying only V's first len(a) rows, as _smith changes
-    each row of V on its own.  It keeps what a solve reads: U's rows, the
-    diagonal padded with zeros to one entry per row of U, and those rows of V
-    cut to one column per row of U, as z is zero past them.  n == 0 means
-    solve over the integers.
+    each row of V on its own, and builds every row of U from the
+    elimination's log (_rowsOfU).  It keeps what a solve reads: U's rows,
+    the diagonal padded with zeros to one entry per row of U, and those rows
+    of V cut to one column per row of U, as z is zero past them.  n == 0
+    means solve over the integers.
     """
 
     __slots__ = ("n", "cols", "steps", "vRows")
@@ -383,10 +416,11 @@ class ModularSolver:
             raise ValueError("modulus must be nonnegative")
         rows, cols = len(a), len(a[0]) if a else 0
         # x @ W == b  <=>  W^T @ x^T == b^T
-        u = _identityRows(cols)
-        d = [[row[j] for row in a] + ([n * x for x in u[j]] if n else []) for j in range(cols)]
-        v = _identityRows(rows + cols if n else rows)[:rows]
-        _smith(d, u, v)
+        d = [[row[j] for row in a] + ([0] * j + [n] + [0] * (cols - 1 - j) if n else [])
+             for j in range(cols)]
+        v = _identityRows(rows, rows + cols if n else rows)
+        # an A with no columns leaves nothing to factor, and U has no rows
+        u = _rowsOfU(_smith(d, v), cols, range(cols)) if cols else []
         diag = [row[i] for i, row in enumerate(d) if i < len(row)]
         self.n = n
         self.cols = cols

@@ -8,6 +8,7 @@ import pytest
 from sympy import Matrix, factorint
 from sympy.matrices.normalforms import smith_normal_form
 
+from foundry import zlattice
 from foundry.foundation import computeFoundation, tutteRelations
 from foundry.matroid import namedMatroid
 from foundry.morphism import searchMorphisms, sublatticeOf
@@ -16,6 +17,7 @@ from foundry.zlattice import (
     GroupHom,
     GroupPresentation,
     ModularSolver,
+    _smith,
     cokernelPresentation,
     homFinite,
     smithNormalForm,
@@ -136,10 +138,15 @@ def test_cokernel_random_structure():
         assert proj.isSurjective()
 
 
-def denseSmithForm(a, n):
+def denseSmithForm(a, n, log=None):
     """Oracle: the Smith elimination with both transforms that the sparse
     one replaced, every row and column operation over whole rows and
-    columns."""
+    columns.  Each row operation that changes d goes into the list log, when
+    given, as (kind, the triple that _smith logs for it)."""
+
+    def record(kind, op):
+        if log is not None:
+            log.append((kind, op))
 
     def addRow(mat, dst, src, factor):
         mat[dst] = [x + factor * y for x, y in zip(mat[dst], mat[src])]
@@ -167,11 +174,14 @@ def denseSmithForm(a, n):
         if best is None:
             break
         _, bi, bj = best
+        if bi != t:
+            record("swap", (t, bi, 0))
         d[t], d[bi] = d[bi], d[t]
         u[t], u[bi] = u[bi], u[t]
         swapCols(d, t, bj)
         swapCols(v, t, bj)
         if d[t][t] < 0:
+            record("negation", (t, t, 2))
             d[t] = [-x for x in d[t]]
             u[t] = [-x for x in u[t]]
         pivot = d[t][t]
@@ -180,6 +190,7 @@ def denseSmithForm(a, n):
             if q:
                 addRow(d, i, t, -q)
                 addRow(u, i, t, -q)
+                record("remainder" if d[i][t] else "row step", (i, t, q))
         for j in range(t + 1, n):
             q = d[t][j] // pivot
             if q:
@@ -190,6 +201,7 @@ def denseSmithForm(a, n):
         offender = next((i for i in range(t + 1, m)
                          if any(d[i][j] % pivot for j in range(t + 1, n))), None)
         if offender is not None:
+            record("fix-up", (t, offender, -1))
             addRow(d, t, offender, 1)
             addRow(u, t, offender, 1)
             continue
@@ -218,6 +230,23 @@ def test_smith_form_matches_dense_elimination():
         assertSameSmithForm(a, cols)
 
 
+def test_the_seeded_matrices_log_every_kind_of_row_operation():
+    """_smith logs the dense oracle's row operations, in its order, and the
+    seeded matrices drive each kind through the loop: a row swap, a
+    negation, a row step that leaves a remainder and the divisibility
+    fix-up.  The oracles above then check the reverse replay that builds U
+    (_rowsOfU) on each kind; foundation relations have almost only unit
+    pivots, so they would not."""
+    kinds = Counter()
+    for a, cols in seededMatrices():
+        expected = []
+        denseSmithForm(a, cols, expected)
+        assert _smith([list(row) for row in a], [list(row) for row in identity(cols)]) == [
+            op for _, op in expected], a
+        kinds.update(kind for kind, _ in expected)
+    assert all(kinds[kind] for kind in ("swap", "negation", "row step", "remainder", "fix-up"))
+
+
 def foundationRelations():
     """(case, the relation matrix) of every matroid in the frozen foundation
     record, built by the dense definition."""
@@ -231,13 +260,19 @@ def test_smith_form_matches_dense_elimination_on_foundation_relations():
         assertSameSmithForm(relations, width(relations))
 
 
+def keptRows(diag, g):
+    """The torsion rows and the free rows of a Smith form with diagonal diag
+    and g rows: the rows of U that a cokernel projection keeps."""
+    return ([i for i, x in enumerate(diag) if x >= 2],
+            [i for i in range(g) if i >= len(diag) or diag[i] == 0])
+
+
 def fullFormPresentation(a, cols):
     """Oracle: the cokernel presentation and projection matrix read off the
     full smithNormalForm(a, cols)."""
     snf = u, _, _ = smithNormalForm(a, cols)
     diag = diagonal(snf)
-    torsion = [i for i, x in enumerate(diag) if x >= 2]
-    free = [i for i in range(len(a)) if i >= len(diag) or diag[i] == 0]
+    torsion, free = keptRows(diag, len(a))
     rows = [tuple(x % diag[i] for x in u[i]) for i in torsion] + [u[i] for i in free]
     return GroupPresentation([diag[i] for i in torsion], len(free)), tuple(rows)
 
@@ -268,6 +303,28 @@ def test_cokernel_of_foundation_relations_matches_the_full_smith_form():
         assertSameCokernel(relations, width(relations), rows)
         kept[case] = len(cokernelPresentation([list(row) for row in relations])[1].matrix)
     assert kept["fano"] == 0  # a trivial group keeps no row of U
+
+
+def test_the_cokernel_rebuilds_only_the_rows_of_u_it_keeps(monkeypatch):
+    """On every frozen foundation case, computeFoundation's cokernel asks
+    the replay (_rowsOfU) for its torsion rows then its free rows, as the
+    full Smith form's diagonal names them, and for no other row of U."""
+    requests = []
+    replay = zlattice._rowsOfU
+
+    def recordingReplay(log, g, rows):
+        requests.append((g, list(rows)))
+        return replay(log, g, rows)
+
+    monkeypatch.setattr(zlattice, "_rowsOfU", recordingReplay)
+    for case, relations in foundationRelations():
+        g = len(relations)
+        torsion, free = keptRows(diagonal(smithNormalForm(relations, width(relations))), g)
+        requests.clear()
+        computeFoundation(frozenFoundationMatroid(case))
+        assert requests == [(g, torsion + free)], case
+        if case == "t8":
+            assert (g, len(torsion + free)) == (60, 1)
 
 
 def test_span_check_matches_smith_definition():

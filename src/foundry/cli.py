@@ -151,7 +151,7 @@ def cmdFoundation(args):
                             " (" + ", ".join("%s:%d" % (t, counts[t])
                                              for t in sorted(counts)) + ")"
                             if counts else ""),
-        "fundamental elements: %d" % len(p.partners),
+        "fundamental elements: %d" % len({x for x, _ in p.pairs}),
     ]
     emit(args, foundationResultToJson(fr), "\n".join(lines))
     return 0

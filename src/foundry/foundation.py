@@ -33,15 +33,17 @@ def crossRatioTerms(index, prefix, k1, k2, k3, k4):
 
     Additively: X(prefix+k1k3) + X(prefix+k2k4) - X(prefix+k1k4)
     - X(prefix+k2k3), with e_eps added when the four sorting signs multiply
-    to -1.  All four index sets must be bases.
+    to -1.  index maps the bitmask of each basis to its coordinate and
+    prefix is a bitmask, so each subscript is looked up as the prefix plus
+    two bits, with no sort.  All four subscripts must be bases.
     """
-    prefix = tuple(prefix)
-    terms = []
-    for ki, kj, coeff in ((k1, k3, 1), (k2, k4, 1), (k1, k4, -1), (k2, k3, -1)):
-        basis = tuple(sorted(prefix + (ki, kj)))
-        if basis not in index:
-            raise InvalidMatroidError("cross-ratio subscript %r is not a basis" % (basis,))
-        terms.append((index[basis], coeff))
+    try:
+        terms = [(index[prefix | 1 << k1 | 1 << k3], 1), (index[prefix | 1 << k2 | 1 << k4], 1),
+                 (index[prefix | 1 << k1 | 1 << k4], -1), (index[prefix | 1 << k2 | 1 << k3], -1)]
+    except KeyError as exc:
+        mask, = exc.args
+        raise InvalidMatroidError("cross-ratio subscript %r is not a basis" % (
+            tuple(e for e in range(mask.bit_length()) if mask >> e & 1),)) from None
     # parity of the four sorts of prefix + (ki, kj): inversions within prefix
     # or between prefix and a k cancel, since each k is in two of the pairs
     if (k1 > k3) ^ (k2 > k4) ^ (k1 > k4) ^ (k2 > k3):
@@ -51,20 +53,21 @@ def crossRatioTerms(index, prefix, k1, k2, k3, k4):
 
 def tutteRelations(m, index, graph):
     """The relations, as one list row per symbol (epsilon, then each basis
-    at its index): the gauge columns 2 e_eps and e_B0, the degenerate
-    cross-ratio per near-basis exchange, then one gauge column
-    e_(B0 - a + b) per exchange-forest edge.  Each near-basis's circuit and
-    cocircuit come from one pass over the bases (Matroid.nearBases)."""
-    b0 = set(graph.basis)
-    columns = [[(0, 2)], [(index[graph.basis], 1)]]
+    at its index, which maps the bitmask of each basis to its coordinate):
+    the gauge columns 2 e_eps and e_B0, the degenerate cross-ratio per
+    near-basis exchange, then one gauge column e_(B0 - a + b) per
+    exchange-forest edge.  Each near-basis's circuit and cocircuit come
+    from one pass over the bases (Matroid.nearBases)."""
+    mask0 = sum(1 << e for e in graph.basis)
+    columns = [[(0, 2)], [(index[mask0], 1)]]
     for nb, circuit, cocircuit in m.nearBases():
         i, j = circuit[0], cocircuit[0]
+        mask = sum(1 << e for e in nb) ^ 1 << i
         for a in circuit[1:]:
-            prefix = tuple(e for e in nb if e not in (i, a))
             for b in cocircuit[1:]:
-                columns.append(crossRatioTerms(index, prefix, i, a, j, b))
+                columns.append(crossRatioTerms(index, mask ^ 1 << a, i, a, j, b))
     for a, b in graph.forestEdges:
-        columns.append([(index[tuple(sorted(b0 - {a} | {b}))], 1)])
+        columns.append([(index[mask0 ^ 1 << a | 1 << b], 1)])
     rows = [[0] * len(columns) for _ in range(1 + len(index))]
     for j, terms in enumerate(columns):
         for i, coeff in terms:  # the coordinates of one column are distinct
@@ -119,8 +122,9 @@ def computeFoundation(m, basis=None):
     if basis not in m.basesSet:
         raise InvalidMatroidError("%r is not a basis" % (basis,))
     index = {b: i for i, b in enumerate(m.bases, 1)}
+    maskIndex = {mask: i for i, mask in enumerate(m.masks, 1)}
     graph = m.exchangeGraphAndForest(basis)
-    pres, rhoZero = cokernelPresentation(tutteRelations(m, index, graph))
+    pres, rhoZero = cokernelPresentation(tutteRelations(m, maskIndex, graph))
     epsilon = tuple([row[0] for row in rhoZero.matrix])
     heads = []
     if m.rank >= 2:
@@ -145,12 +149,12 @@ def computeFoundation(m, basis=None):
             over = [h & ~inside for h in hyperplanes if not inside & ~h]
             if len(over) < 4:
                 continue
-            prefix = m.greedyBasis(flat)
+            prefix = sum(1 << e for e in m.greedyBasis(flat))
             for quad in itertools.combinations(over, 4):
                 # the least element of each hyperplane outside the flat
                 a1, a2, a3, a4 = ((h & -h).bit_length() - 1 for h in quad)
-                first = image(crossRatioTerms(index, prefix, a1, a2, a3, a4))
-                second = image(crossRatioTerms(index, prefix, a1, a3, a2, a4))
+                first = image(crossRatioTerms(maskIndex, prefix, a1, a2, a3, a4))
+                second = image(crossRatioTerms(maskIndex, prefix, a1, a3, a2, a4))
                 heads.append((first, second))
     name = "foundation(%s)" % (m.name or "matroid")
     foundation = Pasture(pres, epsilon, heads, name=name)

@@ -53,9 +53,10 @@ class BasisExchangeGraph:
 
 
 class Matroid:
-    """A matroid given by its full list of bases, kept in lexicographic order."""
+    """A matroid given by its full list of bases, kept in lexicographic order;
+    masks holds each basis as a bitmask, in the same order."""
 
-    __slots__ = ("n", "rank", "bases", "basesSet", "name", "_masks")
+    __slots__ = ("n", "rank", "bases", "basesSet", "name", "masks")
 
     def __init__(self, n, rank, bases, name=None):
         self.n = n
@@ -63,7 +64,7 @@ class Matroid:
         self.bases = bases
         self.basesSet = frozenset(bases)
         self.name = name
-        self._masks = tuple(sum(1 << e for e in b) for b in bases)
+        self.masks = tuple(sum(1 << e for e in b) for b in bases)
 
     @classmethod
     def fromBases(cls, n, bases, name=None, validate=True):
@@ -101,25 +102,33 @@ class Matroid:
             m._checkExchange()
         return m
 
+    @staticmethod
+    def _extensions(sets):
+        """{I: the bitmask of the e with I + e in sets}, for each I that is a
+        member of sets less one element, all sets as bitmasks: one fold."""
+        extensions = {}
+        for s in sets:
+            rest = s
+            while rest:
+                a = rest & -rest
+                rest ^= a
+                extensions[s ^ a] = extensions.get(s ^ a, 0) | a
+        return extensions
+
     def _checkExchange(self):
-        # blocked[I], for each (r-1)-set I inside a basis: the b with I + b a
-        # basis.  B1 - a + b is a basis exactly when b is in blocked[B1 - a],
-        # so B2 fails the exchange at a when it misses that mask, and each I
+        # B1 - a + b is a basis exactly when b is in blocked[B1 - a], so B2
+        # fails the exchange at a when it misses that mask, and each (r-1)-set
         # is checked once, however many bases hold it.
-        blocked = {}
-        for b1, m1 in zip(self.bases, self._masks):
-            for a in b1:
-                i = m1 ^ 1 << a
-                blocked[i] = blocked.get(i, 0) | 1 << a
-        failing = {i for i, mask in blocked.items() if not all(map(mask.__and__, self._masks))}
+        blocked = self._extensions(self.masks)
+        failing = {i for i, mask in blocked.items() if not all(map(mask.__and__, self.masks))}
         if not failing:
             return
         # the first failing B1 in basis order, the first B2 it fails against,
         # and the first failing a of B1 - B2 in set order
-        b1, m1 = next((b, m) for b, m in zip(self.bases, self._masks)
+        b1, m1 = next((b, m) for b, m in zip(self.bases, self.masks)
                       if any(m ^ 1 << a in failing for a in b))
         masks = [blocked[m1 ^ 1 << a] for a in b1]
-        b2, m2 = next((b, m) for b, m in zip(self.bases, self._masks)
+        b2, m2 = next((b, m) for b, m in zip(self.bases, self.masks)
                       if not all(map(m.__and__, masks)))
         a = next(a for a in set(b1) - set(b2) if not m2 & blocked[m1 ^ 1 << a])
         raise InvalidMatroidError("exchange axiom fails for %r, %r at %r" % (b1, b2, a))
@@ -135,17 +144,7 @@ class Matroid:
         mask = 0
         for e in subset:
             mask |= 1 << e
-        return max(map(int.bit_count, map(mask.__and__, self._masks)))
-
-    def _closureMask(self, mask):
-        """(r(S), the bitmask of cl(S)) for the subset S with bitmask mask:
-        e lies outside cl(S) exactly when it lies outside S and in some basis
-        that meets S in r(S) elements."""
-        sizes = list(map(int.bit_count, map(mask.__and__, self._masks)))
-        r = max(sizes)
-        outside = functools.reduce(operator.or_,
-                                   itertools.compress(self._masks, map(r.__eq__, sizes)))
-        return r, ~outside & ((1 << self.n) - 1) | mask
+        return max(map(int.bit_count, map(mask.__and__, self.masks)))
 
     def dual(self):
         full = set(range(self.n))
@@ -164,8 +163,8 @@ class Matroid:
         """
         for nb in self.nonbases():
             mask = sum(1 << e for e in nb)
-            near = list(itertools.compress(self._masks, map(
-                (self.rank - 1).__eq__, map(int.bit_count, map(mask.__and__, self._masks)))))
+            near = list(itertools.compress(self.masks, map(
+                (self.rank - 1).__eq__, map(int.bit_count, map(mask.__and__, self.masks)))))
             if near:
                 inside = functools.reduce(operator.and_, near)
                 outside = functools.reduce(operator.or_, near) & ~mask
@@ -175,7 +174,7 @@ class Matroid:
     def greedyBasis(self, subset):
         """The lexicographically first basis of a subset: its elements in
         order, each kept when some basis holds it and every element kept."""
-        kept, holding = [], self._masks
+        kept, holding = [], self.masks
         for e in sorted(subset):
             within = [b for b in holding if b >> e & 1]
             if within:
@@ -186,24 +185,23 @@ class Matroid:
     def flatsOfCorank(self, k):
         """All flats of rank (rank - k), as sorted tuples in lex order.
 
-        Each flat is the closure of its independent t-subsets, t = rank - k,
-        so a t-subset inside a flat already found is skipped: it spans that
-        flat or has lower rank.
+        A flat of rank t is cl(S) for an independent t-set S, and cl(S)
+        misses exactly the e with S + e independent.  Every independent set
+        lies in a basis, so k folds of the bases (_extensions), each taking
+        one element out of every set and noting which, give every independent
+        (rank - k)-set with the elements its closure misses.  One fold is the
+        one _checkExchange makes: cl(B - b) misses the e with B - b + e a
+        basis.  No subset needs a closure pass.
         """
-        t = self.rank - k
-        if t < 0:
+        if k > self.rank:
             raise InvalidMatroidError("corank exceeds the rank")
-        flats, covered = [], set()
-        for s in itertools.combinations([1 << e for e in range(self.n)], t):
-            mask = sum(s)
-            if mask in covered:
-                continue
-            r, flat = self._closureMask(mask)
-            if r == t:
-                bits = [1 << e for e in range(self.n) if flat >> e & 1]
-                covered.update(map(sum, itertools.combinations(bits, t)))
-                flats.append(tuple(b.bit_length() - 1 for b in bits))
-        return tuple(sorted(flats))
+        if k < 0:
+            return ()  # no flat has a rank above the matroid's
+        extensions = dict.fromkeys(self.masks, 0)
+        for _ in range(k):
+            extensions = self._extensions(extensions)
+        missed = set(extensions.values())
+        return tuple(sorted(tuple(e for e in range(self.n) if not x >> e & 1) for x in missed))
 
     def exchangeGraphAndForest(self, basis):
         # (a, b) is an edge when B0 - a + b is a basis mask; the edges come
@@ -212,7 +210,7 @@ class Matroid:
         if b0 not in self.basesSet:
             raise InvalidMatroidError("%r is not a basis" % (b0,))
         mask0 = sum(1 << e for e in b0)
-        masks = set(self._masks)
+        masks = set(self.masks)
         right = [e for e in range(self.n) if not mask0 >> e & 1]
         edges = [(a, b) for a in b0 for b in right if mask0 ^ 1 << a | 1 << b in masks]
         neighbors = {v: [] for v in b0 + tuple(right)}

@@ -8,9 +8,10 @@ Elements are coordinate tuples; the pasture's multiplication is the group
 addition.  The three-term nullset is determined by epsilon and the
 fundamental pairs, so no separate nullset data is stored.  A Pasture keeps
 pairs, one ordered map from each oriented fundamental pair to its hexagon's
-index (hexagons in order, each pair then its swap, the first time seen), and
-partners, each fundamental element's partners, keyed and listed in sorted
-order.  Its search slot is None until morphism.py fills it.
+index (hexagons in order, each pair then its swap, the first time seen).
+Its partners, each fundamental element's partners keyed and listed in sorted
+order, are built the first time they are read.  Its search slot is None
+until morphism.py fills it.
 """
 
 from __future__ import annotations
@@ -74,9 +75,13 @@ def hexagonType(hexagon):
 
 
 class Pasture:
-    """A finitely presented pasture with canonicalized hexagons."""
+    """A finitely presented pasture with canonicalized hexagons.
 
-    __slots__ = ("group", "epsilon", "hexagons", "name", "field", "pairs", "partners", "search")
+    The hexagons and pairs are built with it; the partner table (partners)
+    only when first read, which a search does for its target alone.
+    """
+
+    __slots__ = ("group", "epsilon", "hexagons", "name", "field", "pairs", "_partners", "search")
 
     def __init__(self, group, epsilon, hexagonHeads, name=None, field=None):
         self.group = group
@@ -92,11 +97,21 @@ class Pasture:
         # a pair lies in one hexagon only, so a repeat keeps its first place
         self.pairs = {p: k for k, h in enumerate(self.hexagons) for x, y in h
                       for p in ((x, y), (y, x))}
-        partners = {}
-        for x, y in sorted(self.pairs):
-            partners.setdefault(x, []).append(y)
-        self.partners = {x: tuple(ys) for x, ys in partners.items()}
+        self._partners = None
         self.search = None
+
+    @property
+    def partners(self):
+        """Each fundamental element's partners, keyed and listed in sorted
+        order, built the first time it is read: only a search target reads
+        it, so a pasture that is only ever a search source never sorts its
+        pairs."""
+        if self._partners is None:
+            partners = {}
+            for x, y in sorted(self.pairs):
+                partners.setdefault(x, []).append(y)
+            self._partners = {x: tuple(ys) for x, ys in partners.items()}
+        return self._partners
 
     def partnersOf(self, x):
         return self.partners.get(self.group.reduce(x), ())
@@ -138,8 +153,12 @@ class Pasture:
 
 # gfPasture's pastures by q, least recently used first, and their summed weight:
 # q for a field and q for each search table built into it (tableBuilt), each of
-# about q entries, in all at most MAX_FIELD_ORDER, one largest field's worth.
+# about q entries, in all at most MAX_FIELD_ORDER, one largest field's worth,
+# unless the field last returned is held alone.  It then keeps its tables while
+# it weighs at most MAX_FIELD_WEIGHT: the largest field and three tables, as a
+# search builds a torsion table, a rule table and a scaled pair set into it.
 # Nothing changes a Pasture after __init__ but the search, so each is shared.
+MAX_FIELD_WEIGHT = 4 * MAX_FIELD_ORDER
 _fieldPastures = {}
 _cachedWeight = 0
 
@@ -161,9 +180,11 @@ def gfPasture(q):
     Built once per q and kept, with what the search builds into it.  Each
     call evicts the fields used least recently until the cached weights sum
     to at most MAX_FIELD_ORDER; the field returned stays, and if it alone
-    weighs more, what the search built into it is dropped (a search already
-    running keeps the tables it looked up).  A call weighs only the fields
-    it adds, evicts or strips, as the sum is kept up to date.
+    weighs more than MAX_FIELD_WEIGHT, what the search built into it is
+    dropped (a search already running keeps the tables it looked up).  So
+    after a call the cache weighs at most MAX_FIELD_ORDER, or holds the
+    returned field alone at no more than MAX_FIELD_WEIGHT.  A call weighs
+    only the fields it adds, evicts or strips, as the sum is kept up to date.
     """
     global _cachedWeight
     q = int(q)  # the key tableBuilt finds a field by: FiniteField's order
@@ -173,7 +194,7 @@ def gfPasture(q):
         _cachedWeight += q
     while _fieldPastures and _cachedWeight > MAX_FIELD_ORDER:
         _cachedWeight -= _weight(_fieldPastures.pop(next(iter(_fieldPastures))))
-    if _cachedWeight > MAX_FIELD_ORDER:
+    if _cachedWeight > MAX_FIELD_WEIGHT:
         _cachedWeight -= _weight(pasture) - q
         pasture.search = None
     _fieldPastures[q] = pasture

@@ -11,6 +11,7 @@ import pytest
 
 import foundry
 from foundry.cli import run
+from foundry.foundation import computeFoundation
 from foundry.matroid import matroidToJson, namedMatroid
 from foundry.morphism import MAX_MORPHISMS, MAX_TORSION_HOMS
 from foundry.pasture import builtinPasture, pastureToJson
@@ -28,6 +29,11 @@ def test_foundation_text(capsys):
     assert "unit group: Z/2 x Z^3" in out
     assert "reference basis: 0,1,3" in out
     assert "hexagons: 3 (U:3)" in out
+    # in nonpappus and vamos some elements have more than one partner
+    for name in ("example52", "nonfano", "nonpappus", "vamos"):
+        assert run(["foundation", "--matroid", name]) == 0
+        partners = computeFoundation(namedMatroid(name)).foundation.partners
+        assert "\nfundamental elements: %d\n" % len(partners) in capsys.readouterr().out, name
 
 
 def test_foundation_json(capsys):
@@ -178,19 +184,30 @@ def test_iso_past_the_torsion_ceiling_exits_two_before_listing(capsys, monkeypat
 def test_torsion_ceiling_admits_gf65521(capsys, monkeypatch):
     """gf:65521's unit group Z/65520 has 65,520 endomorphisms, under the
     ceiling.  Listing them and searching takes 1 to 2 s, so the listing is
-    replaced by an empty one: the search runs and finds no isomorphism."""
+    replaced by an empty one: the search runs and finds no isomorphism.
+    The field keeps its torsion table between calls, so each ceiling is
+    tried on a fresh field cache, and a repeated call lists nothing."""
     listed = []
 
     def record(source, target):
         listed.append((source.invariants, target.invariants))
         return []
+
+    def freshCache():
+        monkeypatch.setattr("foundry.pasture._fieldPastures", {})
+        monkeypatch.setattr("foundry.pasture._cachedWeight", 0)
+
     monkeypatch.setattr("foundry.morphism.homFinite", record)
     argv = ["iso", "--source", "gf:65521", "--target", "gf:65521"]
     for ceiling in (MAX_TORSION_HOMS, 65520):
+        freshCache()
         monkeypatch.setattr("foundry.morphism.MAX_TORSION_HOMS", ceiling)
         assert run(argv) == 0
         assert capsys.readouterr().out == "isomorphic: no\n"
     assert listed == [((65520,), (65520,))] * 2
+    assert run(argv) == 0 and len(listed) == 2
+    capsys.readouterr()
+    freshCache()
     monkeypatch.setattr("foundry.morphism.MAX_TORSION_HOMS", 65519)
     assert run(argv) == 2
     assert capsys.readouterr().err.startswith("error: more than 65519 homomorphisms")

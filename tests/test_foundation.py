@@ -34,6 +34,12 @@ def symbolIndex(m):
     return {b: i for i, b in enumerate(sorted(m.bases), 1)}
 
 
+def maskIndex(m):
+    """symbolIndex keyed by the bitmask of each basis, as tutteRelations and
+    crossRatioTerms read it."""
+    return {sum(1 << e for e in b): i for b, i in symbolIndex(m).items()}
+
+
 def unitVector(dim, i):
     return tuple(int(k == i) for k in range(dim))
 
@@ -80,10 +86,9 @@ def test_relation_rows_match_the_dense_definition():
     """On every matroid of the frozen foundation record."""
     for case in frozenFoundationCases():
         m = frozenFoundationMatroid(case)
-        index = symbolIndex(m)
         graph = m.exchangeGraphAndForest(m.bases[0])
-        rows = tutteRelations(m, index, graph)
-        assert tuple(map(tuple, rows)) == denseRelations(m, index, graph), case
+        rows = tutteRelations(m, maskIndex(m), graph)
+        assert tuple(map(tuple, rows)) == denseRelations(m, symbolIndex(m), graph), case
 
 
 def test_relation_rows_match_the_dense_definition_on_circuit_shapes():
@@ -96,28 +101,39 @@ def test_relation_rows_match_the_dense_definition_on_circuit_shapes():
         index = symbolIndex(m)
         for basis in (m.bases[0], m.bases[-1]):
             graph = m.exchangeGraphAndForest(basis)
-            rows = tutteRelations(m, index, graph)
+            rows = tutteRelations(m, maskIndex(m), graph)
             assert tuple(map(tuple, rows)) == denseRelations(m, index, graph), (m, basis)
 
 
 def test_cross_ratio_terms_match_the_dense_definition():
+    """crossRatioTerms on bitmasks against the dense oracle on sorted
+    tuples: the same terms, or a refusal naming the first subscript of the
+    four that is not a basis."""
+    refused = 0
     for name in ("example52", "pappus", "vamos", "uniform(3,7)"):
         m = namedMatroid(name)
-        index = symbolIndex(m)
+        index, masks = symbolIndex(m), maskIndex(m)
         rng = random.Random(name)
         for _ in range(200):
             k = rng.sample(range(m.n), m.rank + 2)
             prefix, quad = k[:m.rank - 2], k[m.rank - 2:]
             try:
-                terms = crossRatioTerms(index, prefix, *quad)
-            except InvalidMatroidError:
+                terms = crossRatioTerms(masks, sum(1 << e for e in prefix), *quad)
+            except InvalidMatroidError as exc:
+                k1, k2, k3, k4 = quad
+                first = next(s for s in (tuple(sorted(prefix + [ki, kj]))
+                                         for ki, kj in ((k1, k3), (k2, k4), (k1, k4), (k2, k3)))
+                             if s not in index)
+                assert str(exc) == "cross-ratio subscript %r is not a basis" % (first,)
                 with pytest.raises(KeyError):
                     crossRatio(index, prefix, *quad)
+                refused += 1
                 continue
             vec = [0] * (1 + len(index))
             for i, coeff in terms:
                 vec[i] += coeff
             assert tuple(vec) == crossRatio(index, prefix, *quad), (name, k)
+    assert refused
 
 
 def test_inversion_parity():
@@ -225,7 +241,7 @@ def test_cross_ratio_symbol_identities():
 
 def test_cross_ratio_degree_zero():
     m = namedMatroid("example52")
-    index = symbolIndex(m)
+    index = maskIndex(m)
     deg = GroupHom(GroupPresentation([], 1 + len(index)), GroupPresentation([], 1),
                    ((0,) + (1,) * len(m.bases),))
     graph = m.exchangeGraphAndForest(m.bases[0])
@@ -242,8 +258,10 @@ def test_cross_ratio_degree_zero():
 
 def test_cross_ratio_rejects_nonbases():
     m = namedMatroid("fano")
-    with pytest.raises(InvalidMatroidError):
-        crossRatioTerms(symbolIndex(m), (0,), 1, 3, 2, 4)  # {0,1,2} is a nonbasis
+    with pytest.raises(InvalidMatroidError, match=r"subscript \(0, 1, 2\) is not"):
+        crossRatioTerms(maskIndex(m), 1 << 0, 1, 3, 2, 4)  # {0,1,2} is a nonbasis
+    with pytest.raises(InvalidMatroidError, match=r"subscript \(0, 3, 4\) is not"):
+        crossRatioTerms(maskIndex(m), 1 << 0, 1, 3, 4, 5)  # only the last, {0,3,4}
 
 
 def test_foundation_with_alternate_base_basis():

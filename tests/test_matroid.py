@@ -58,6 +58,35 @@ def closure(m, subset):
     return tuple(e for e in range(m.n) if e in s or m.rankOf(s | {e}) == r)
 
 
+def closureMask(m, mask):
+    """Oracle: (r(S), the bitmask of cl(S)) for the subset S with bitmask
+    mask, from one pass over the bases: e lies outside cl(S) exactly when it
+    lies outside S and in some basis that meets S in r(S) elements."""
+    sizes = [(mask & b).bit_count() for b in m.masks]
+    r = max(sizes)
+    outside = 0
+    for b, size in zip(m.masks, sizes):
+        if size == r:
+            outside |= b
+    return r, ~outside & ((1 << m.n) - 1) | mask
+
+
+def assertFlatsOfEveryCorank(m, label):
+    """flatsOfCorank(k) for every k against the subsets that no element
+    outside raises in rank, none above the rank (k < 0), and a refusal past
+    it."""
+    ranked = [(m.rankOf(s), s) for size in range(m.n + 1)
+              for s in itertools.combinations(range(m.n), size)]
+    allFlats = [(r, s) for r, s in ranked
+                if all(m.rankOf(s + (e,)) > r for e in range(m.n) if e not in s)]
+    for k in range(m.rank + 1):
+        expected = sorted(s for r, s in allFlats if r == m.rank - k)
+        assert list(m.flatsOfCorank(k)) == expected, (label, m, k)
+    assert m.flatsOfCorank(-1) == (), (label, m)
+    with pytest.raises(InvalidMatroidError):
+        m.flatsOfCorank(m.rank + 1)
+
+
 def uniqueCircuitIn(m, subset):
     """Oracle: the circuit inside an r-subset of rank r - 1, as the e whose
     removal leaves an independent set."""
@@ -238,23 +267,47 @@ def test_closure_and_flats_against_brute_force():
         for m in (namedMatroid(name), namedMatroid(name).dual()):
             for size in range(m.n + 1):
                 for s in itertools.combinations(range(m.n), size):
-                    r, flat = m._closureMask(sum(1 << e for e in s))
+                    r, flat = closureMask(m, sum(1 << e for e in s))
                     assert r == m.rankOf(s), (name, s)
                     assert flat == sum(1 << e for e in closure(m, s)), (name, s)
     # flats of every corank: the catalogue matroids, their duals and seeded
-    # relabellings, against the subsets that no element outside raises in rank
+    # relabellings
     for name in sorted(NAMED_BASIS_COUNTS) + ["uniform(2,5)", "uniform(3,6)"]:
         m = namedMatroid(name)
         for mm in (m, m.dual(), relabelled(m, name)):
-            ranked = [(mm.rankOf(s), s) for size in range(mm.n + 1)
-                      for s in itertools.combinations(range(mm.n), size)]
-            allFlats = [(r, s) for r, s in ranked
-                        if all(mm.rankOf(s + (e,)) > r for e in range(mm.n) if e not in s)]
-            for k in range(mm.rank + 1):
-                expected = sorted(s for r, s in allFlats if r == mm.rank - k)
-                assert list(mm.flatsOfCorank(k)) == expected, (name, mm, k)
-            with pytest.raises(InvalidMatroidError):
-                mm.flatsOfCorank(mm.rank + 1)
+            assertFlatsOfEveryCorank(mm, name)
+
+
+def test_flats_on_matroids_the_catalogue_lacks():
+    """flatsOfCorank reads the flats off the bases, so check it where the
+    bases are unlike a simple matroid's: fano with a loop, with a coloop and
+    with 0 doubled, rank 0 (every element a loop), rank n (every element a
+    coloop) with and without an extra loop, U(1,3), and the direct sums
+    U(2,4) + fano and example52 + U(1,3), each also relabelled."""
+    fano = namedMatroid("fano")
+
+    def directSum(a, b):
+        return Matroid.fromBases(a.n + b.n, [x + tuple(a.n + e for e in y)
+                                             for x in a.bases for y in b.bases])
+
+    shapes = {
+        "fano + loop": Matroid.fromBases(8, fano.bases),
+        "fano + coloop": Matroid.fromBases(8, [b + (7,) for b in fano.bases]),
+        "fano, 0 doubled": Matroid.fromBases(
+            8, fano.bases + tuple((7,) + b[1:] for b in fano.bases if b[0] == 0)),
+        "rank 0": Matroid.fromBases(3, [()]),
+        "rank n": Matroid.fromBases(4, [(0, 1, 2, 3)]),
+        "rank n + loop": Matroid.fromBases(4, [(0, 1, 3)]),
+        "U(1,3)": namedMatroid("uniform(1,3)"),
+        "U(2,4) + fano": directSum(namedMatroid("uniform(2,4)"), fano),
+        "example52 + U(1,3)": directSum(namedMatroid("example52"),
+                                        namedMatroid("uniform(1,3)")),
+    }
+    for label, m in shapes.items():
+        for mm in (m, relabelled(m, label)):
+            assertFlatsOfEveryCorank(mm, label)
+    assert shapes["rank 0"].flatsOfCorank(0) == ((0, 1, 2),)
+    assert shapes["rank n + loop"].flatsOfCorank(3) == ((2,),)
 
 
 def test_greedy_basis_is_the_lex_first_basis():

@@ -317,10 +317,11 @@ def test_field_cache_evicts_the_least_recently_used_fields(monkeypatch):
 
 def test_field_cache_counts_the_search_tables_of_each_field(monkeypatch):
     """A cached field weighs q for itself and q more for each rule table and
-    scaled pair set built into it.  With the ceiling lowered to 30 the
+    scaled pair set built into it.  With both ceilings lowered to 30 the
     weights never sum past it; a field that alone weighs more stays, without
     its tables, and a table looked up before that is left intact."""
     monkeypatch.setattr(pastureModule, "MAX_FIELD_ORDER", 30)
+    monkeypatch.setattr(pastureModule, "MAX_FIELD_WEIGHT", 30)
     monkeypatch.setattr(pastureModule, "_fieldPastures", {})
     monkeypatch.setattr(pastureModule, "_cachedWeight", 0)
 
@@ -348,16 +349,20 @@ def test_field_cache_counts_the_search_tables_of_each_field(monkeypatch):
 
 
 def test_the_cached_weight_follows_every_call_and_table(monkeypatch):
-    """A seeded run of 2,400 steps, with the ceiling lowered to 40: each a
-    gfPasture call, or a rule table, scaled pair set or torsion table built
-    into the field just returned or into an older one still held, cached or
-    not.  After every step the cache holds the fields, in the order, and
-    with the tables, that re-weighing every cached field on each call
-    gives: q for a field and q for each table built into it, least
-    recently used fields evicted first, and a field that alone weighs too
-    much stripped of its tables.  The kept total is their sum."""
-    ceiling = 40
+    """A seeded run of 2,400 steps, with the ceiling lowered to 40 and the
+    weight a field may keep alone to 60: each a gfPasture call, or a rule
+    table, scaled pair set or torsion table built into the field just
+    returned or into an older one still held, cached or not.  After every
+    step the cache holds the fields, in the order, and with the tables,
+    that re-weighing every cached field on each call gives: q for a field
+    and q for each table built into it, least recently used fields evicted
+    first, and a field that alone weighs more than 60 stripped of its
+    tables.  The kept total is their sum; after a call it is at most 40,
+    or the returned field's alone and at most 60.  Both a lone field kept
+    above 40 and a stripped one occur."""
+    ceiling, alone = 40, 60
     monkeypatch.setattr(pastureModule, "MAX_FIELD_ORDER", ceiling)
+    monkeypatch.setattr(pastureModule, "MAX_FIELD_WEIGHT", alone)
     monkeypatch.setattr(pastureModule, "_fieldPastures", {})
     monkeypatch.setattr(pastureModule, "_cachedWeight", 0)
     rng = random.Random(21)
@@ -373,6 +378,7 @@ def test_the_cached_weight_follows_every_call_and_table(monkeypatch):
         return tables and len(tables.rules) + len(tables.scaled) + len(tables.torsion) or 0
 
     held = []
+    keptAlone = stripped = 0
     for step in range(2400):
         kind = rng.randrange(4) if held else 0
         if kind == 0:
@@ -386,9 +392,12 @@ def test_the_cached_weight_follows_every_call_and_table(monkeypatch):
             if cached is None:
                 built[id(field)] = set()
                 held.append(field)
-            if total > ceiling:
+            if total > alone:
                 built[id(field)] = set()
                 assert field.search is None, step
+                stripped += 1
+            elif total > ceiling:
+                keptAlone += 1
             expected[q] = current = field
         else:
             field = current if rng.random() < 0.5 else rng.choice(held)
@@ -409,7 +418,33 @@ def test_the_cached_weight_follows_every_call_and_table(monkeypatch):
         assert [tableCount(field) for field in cache.values()] == [
             len(built[id(field)]) for field in cache.values()], step
         assert pastureModule._cachedWeight == sum(map(weight, cache.values())), step
-        assert kind or pastureModule._cachedWeight <= ceiling, step
+        assert kind or pastureModule._cachedWeight <= ceiling or (
+            len(cache) == 1 and pastureModule._cachedWeight <= alone), step
+    assert keptAlone and stripped
+
+
+def test_the_largest_field_keeps_its_search_tables(monkeypatch):
+    """Three findOne searches from the U(2,4) foundation into GF(65521): the
+    first builds two tables, the later ones build none, and after each
+    gfPasture call the field is cached alone within MAX_FIELD_WEIGHT."""
+    monkeypatch.setattr(pastureModule, "_fieldPastures", {})
+    monkeypatch.setattr(pastureModule, "_cachedWeight", 0)
+    built = []
+
+    def counted(pasture):
+        built.append(pasture)
+        pastureModule.tableBuilt(pasture)
+
+    monkeypatch.setattr("foundry.morphism.tableBuilt", counted)
+    source = computeFoundation(namedMatroid("uniform(2,4)")).foundation
+    for expected in (2, 0, 0):
+        target = gfPasture(65521)
+        assert list(pastureModule._fieldPastures.values()) == [target]
+        assert pastureModule._cachedWeight <= pastureModule.MAX_FIELD_WEIGHT
+        before = len(built)
+        assert len(searchMorphisms(source, target, findOne=True)) == 1
+        assert len(built) - before == expected
+    assert pastureModule._cachedWeight == 3 * 65521 <= pastureModule.MAX_FIELD_WEIGHT
 
 
 def test_refused_torsion_homs_leave_no_table_and_no_weight(monkeypatch):

@@ -24,7 +24,7 @@ from foundry.zlattice import (
     solveModular,
     spansLattice,
 )
-from test_foundation import denseRelations, symbolIndex
+from test_foundation import denseRelations, maskIndex, symbolIndex
 from test_foundation_frozen import cases as frozenFoundationCases
 from test_foundation_frozen import matroidOf as frozenFoundationMatroid
 
@@ -299,7 +299,7 @@ def test_cokernel_of_foundation_relations_matches_the_full_smith_form():
     kept = {}
     for case, relations in foundationRelations():
         m = frozenFoundationMatroid(case)
-        rows = tutteRelations(m, symbolIndex(m), m.exchangeGraphAndForest(m.bases[0]))
+        rows = tutteRelations(m, maskIndex(m), m.exchangeGraphAndForest(m.bases[0]))
         assertSameCokernel(relations, width(relations), rows)
         kept[case] = len(cokernelPresentation([list(row) for row in relations])[1].matrix)
     assert kept["fano"] == 0  # a trivial group keeps no row of U

@@ -16,6 +16,7 @@ import functools
 import json
 import os
 import sys
+from collections import Counter
 
 from ._gf import FieldError
 from .foundation import computeFoundation, foundationResultToJson
@@ -121,10 +122,8 @@ def formatMatrix(rows, field=None, indent="  "):
         return indent + "[]"
     widths = [max(len(cells[i][j]) for i in range(len(cells)))
               for j in range(len(cells[0]))]
-    lines = []
-    for row in cells:
-        lines.append(indent + "[ " + "  ".join(c.rjust(w) for c, w in zip(row, widths)) + " ]")
-    return "\n".join(lines)
+    return "\n".join(indent + "[ " + "  ".join(c.rjust(w) for c, w in zip(row, widths)) + " ]"
+                     for row in cells)
 
 
 def emit(args, payload, text):
@@ -138,10 +137,7 @@ def cmdFoundation(args):
     m = loadMatroid(args.matroid)
     fr = computeFoundation(m, parseBasis(args.basis))
     p = fr.foundation
-    types = p.hexagonTypes()
-    counts = {}
-    for t in types:
-        counts[t] = counts.get(t, 0) + 1
+    counts = Counter(p.hexagonTypes())
     lines = [
         "matroid: %s (n=%d, rank=%d)" % (m.name or "unnamed", m.n, m.rank),
         "reference basis: %s" % ",".join(str(e) for e in fr.basis),
@@ -321,6 +317,8 @@ def run(argv=None):
         if args.command == "iso":
             if (args.matroid is None) == (args.source is None):
                 raise _UsageError("iso: exactly one of --matroid or --source is required")
+            if args.basis is not None and args.matroid is None:
+                raise _UsageError("iso: --basis needs --matroid")
         return args.func(args)
     except _UsageError as e:
         print(str(e), file=sys.stderr)

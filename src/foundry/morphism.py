@@ -29,9 +29,9 @@ this module builds into the target once (torsionHoms, ruleCandidates and
 scaledPairs), the first time a search reaches them, so repeated searches
 into one target, such as the shared gfPasture(q), pay for them once.  Their
 order fixes the enumeration order.  The tables and a source's sublattice
-(sublatticeOf) live in the pasture's search slot, which only this module
-fills (SearchTables), and each table built is reported to the field cache
-(pasture.tableBuilt).  Fields (one coordinate), GF(2) and krasner (none)
+(sublatticeOf) are kept in the pasture's search slot, a dict that one memo
+reads and fills (_memo), and each table built is reported to the field
+cache (pasture.tableBuilt).  Fields (one coordinate), GF(2) and krasner (none)
 and targets with free rank all run this one path.
 
 A listing keeps at most MAX_MORPHISMS maps; countMorphisms keeps none.
@@ -632,91 +632,80 @@ def fullRankSublattice(pasture):
                           freeMatrix, uncheckedHeads)
 
 
-class SearchTables:
-    """A pasture's search slot: the sublattice out of it (sublatticeOf) and
-    the tables into it (torsionHoms, ruleCandidates, scaledPairs), each at
-    most about one entry per unit; gfPasture weighs a field by their number."""
-
-    __slots__ = ("sublattice", "torsion", "rules", "scaled")
-
-    def __init__(self):
-        self.sublattice = None
-        self.torsion = {}
-        self.rules = {}
-        self.scaled = {}
-
-    def __len__(self):
-        return len(self.torsion) + len(self.rules) + len(self.scaled)
-
-
-def _searchTables(pasture):
-    """The pasture's SearchTables, made on first use."""
-    if pasture.search is None:
-        pasture.search = SearchTables()
-    return pasture.search
+def _memo(pasture, key, build, *args):
+    """What the search keeps on pasture under key, a tuple led by the entry's
+    kind: found in its search slot, a dict made on first use, else built by
+    build(pasture, *args), stored and returned, so a lookup that finds its
+    entry builds nothing.  No other code reads or fills the slot.  A build
+    that raises stores nothing.  Each target table's build reports it to the
+    field cache (pasture.tableBuilt); a source's sublattice weighs nothing."""
+    memo = pasture.search
+    if memo is None:
+        memo = pasture.search = {}
+    value = memo.get(key)
+    if value is None:
+        value = memo[key] = build(pasture, *args)
+    return value
 
 
 def sublatticeOf(pasture):
-    tables = _searchTables(pasture)
-    if tables.sublattice is None:
-        tables.sublattice = fullRankSublattice(pasture)
-    return tables.sublattice
+    """fullRankSublattice(pasture), kept under ("sublattice",) (_memo)."""
+    return _memo(pasture, ("sublattice",), fullRankSublattice)
 
 
 def ruleCandidates(pasture, coeffs):
     """The search's candidate table for a sublattice rule with these
-    coefficients, keyed by the value of the rule's slot.  One coefficient
-    c: c * x -> the partners of every such x, in Pasture.partners order.
-    Two (c, d): c * x + d * y -> the first member x of every such
-    fundamental pair, in Pasture.pairs order."""
-    tables = _searchTables(pasture).rules
-    table = tables.get(coeffs)
-    if table is None:
-        g = pasture.group
-        table = {}
-        if len(coeffs) == 1:
-            c, = coeffs
-            for x, ys in pasture.partners.items():
-                table.setdefault(g.scale(c, x), {}).update(dict.fromkeys(ys))
-        else:
-            c, d = coeffs
-            for x, y in pasture.pairs:
-                table.setdefault(g.add(g.scale(c, x), g.scale(d, y)), {})[x] = None
-        table = tables[coeffs] = {k: tuple(v) for k, v in table.items()}
-        tableBuilt(pasture)
-    return table
+    coefficients, keyed by the value of the rule's slot and kept under
+    ("rules", coeffs) (_memo).  One coefficient c: c * x -> the partners of
+    every such x, in Pasture.partners order.  Two (c, d): c * x + d * y ->
+    the first member x of every such fundamental pair, in Pasture.pairs
+    order."""
+    return _memo(pasture, ("rules", coeffs), _ruleTable, coeffs)
+
+
+def _ruleTable(pasture, coeffs):
+    g, table = pasture.group, {}
+    if len(coeffs) == 1:
+        c, = coeffs
+        for x, ys in pasture.partners.items():
+            table.setdefault(g.scale(c, x), {}).update(dict.fromkeys(ys))
+    else:
+        c, d = coeffs
+        for x, y in pasture.pairs:
+            table.setdefault(g.add(g.scale(c, x), g.scale(d, y)), {})[x] = None
+    return tableBuilt(pasture, {k: tuple(v) for k, v in table.items()})
 
 
 def scaledPairs(pasture, c, d):
-    """The fundamental pairs (x, y) scaled to (c * x, d * y), each
-    flattened into one tuple, as a set."""
-    tables = _searchTables(pasture).scaled
-    pairs = tables.get((c, d))
-    if pairs is None:
-        g = pasture.group
-        pairs = tables[c, d] = frozenset(
-            g.scale(c, x) + g.scale(d, y) for x, y in pasture.pairs)
-        tableBuilt(pasture)
-    return pairs
+    """The fundamental pairs (x, y) scaled to (c * x, d * y), each flattened
+    into one tuple, as a set kept under ("scaled", (c, d)) (_memo)."""
+    return _memo(pasture, ("scaled", (c, d)), _scaledPairSet, c, d)
+
+
+def _scaledPairSet(pasture, c, d):
+    g = pasture.group
+    return tableBuilt(pasture, frozenset(g.scale(c, x) + g.scale(d, y) for x, y in pasture.pairs))
 
 
 def torsionHoms(p1, p2, isoOnly=False):
     """Torsion-block candidates: homs of the torsion parts fixing epsilon, in
-    homFinite order, kept in the target's table under the source's torsion
-    invariants, the torsion part of its epsilon and isoOnly.  Refused, keeping
-    nothing, before any is listed when there are more than MAX_TORSION_HOMS."""
-    key = (p1.group.invariants, p1.epsilon[:len(p1.group.invariants)], isoOnly)
-    tables = _searchTables(p2).torsion
-    if key not in tables:
-        t1, t2 = (GroupPresentation(p.group.invariants, 0) for p in (p1, p2))
-        if prod(gcd(a, b) for a in t1.invariants for b in t2.invariants) > MAX_TORSION_HOMS:
-            raise TooManyTorsionHoms(
-                "more than %d homomorphisms between the torsion parts of %s and %s"
-                % (MAX_TORSION_HOMS, p1.name or "the source", p2.name or "the target"))
-        tables[key] = tuple(h for h in homFinite(t1, t2) if h.apply(key[1]) == p2.epsilon[:t2.dim]
-                            and (not isoOnly or h.isSurjective()))
-        tableBuilt(p2)
-    return tables[key]
+    homFinite order, kept in the target under ("torsion", the source's torsion
+    invariants, the torsion part of its epsilon, isoOnly) (_memo).  Refused,
+    keeping and weighing nothing, before any is listed when there are more
+    than MAX_TORSION_HOMS."""
+    t = p1.group.invariants
+    return _memo(p2, ("torsion", t, p1.epsilon[:len(t)], isoOnly), _torsionTable, p1, isoOnly)
+
+
+def _torsionTable(p2, p1, isoOnly):
+    t1, t2 = (GroupPresentation(p.group.invariants, 0) for p in (p1, p2))
+    if prod(gcd(a, b) for a in t1.invariants for b in t2.invariants) > MAX_TORSION_HOMS:
+        raise TooManyTorsionHoms(
+            "more than %d homomorphisms between the torsion parts of %s and %s"
+            % (MAX_TORSION_HOMS, p1.name or "the source", p2.name or "the target"))
+    e1, e2 = p1.epsilon[:t1.dim], p2.epsilon[:t2.dim]
+    return tableBuilt(p2, tuple(h for h in homFinite(t1, t2)
+                                if h.apply(e1) == e2 and (not isoOnly or h.isSurjective())))
 
 
 class SearchStats:
@@ -725,10 +714,7 @@ class SearchStats:
     __slots__ = ("torsionHoms", "leafCandidates", "assembled", "valid")
 
     def __init__(self):
-        self.torsionHoms = 0
-        self.leafCandidates = 0
-        self.assembled = 0
-        self.valid = 0
+        self.torsionHoms = self.leafCandidates = self.assembled = self.valid = 0
 
     def asDict(self):
         return {name: getattr(self, name) for name in self.__slots__}

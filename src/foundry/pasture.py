@@ -151,27 +151,26 @@ class Pasture:
         return "<%s: %r, %d hexagons>" % (label, self.group, len(self.hexagons))
 
 
-# gfPasture's pastures by q, least recently used first, and their summed weight:
-# q for a field and q for each search table built into it (tableBuilt), each of
-# about q entries, in all at most MAX_FIELD_ORDER, one largest field's worth,
-# unless the field last returned is held alone.  It then keeps its tables while
-# it weighs at most MAX_FIELD_WEIGHT: the largest field and three tables, as a
-# search builds a torsion table, a rule table and a scaled pair set into it.
-# Nothing changes a Pasture after __init__ but the search, so each is shared.
+# gfPasture's fields by q, least recently used first, each as [pasture, weight]:
+# q for the field and q for each search table built into it (tableBuilt), each
+# of about q entries.  The weights sum to at most MAX_FIELD_ORDER, one largest
+# field's worth, unless the field last returned is held alone.  It then keeps its
+# tables while it weighs at most MAX_FIELD_WEIGHT: the largest field and three
+# tables, as a search builds a torsion table, a rule table and a scaled pair set
+# into it.  Only the search changes a Pasture after __init__, so each is shared.
 MAX_FIELD_WEIGHT = 4 * MAX_FIELD_ORDER
 _fieldPastures = {}
 _cachedWeight = 0
 
 
-def _weight(pasture):
-    return pasture.field.q * (1 + len(pasture.search or ()))
-
-
-def tableBuilt(pasture):
-    """Weigh a table that morphism.py just built into pasture, if cached."""
+def tableBuilt(pasture, table):
+    """Weigh a table just built into pasture, if it is cached; return the table."""
     global _cachedWeight
-    if pasture.field is not None and _fieldPastures.get(pasture.field.q) is pasture:
+    entry = _fieldPastures.get(pasture.field.q) if pasture.field is not None else None
+    if entry is not None and entry[0] is pasture:
+        entry[1] += pasture.field.q
         _cachedWeight += pasture.field.q
+    return table
 
 
 def gfPasture(q):
@@ -184,21 +183,21 @@ def gfPasture(q):
     dropped (a search already running keeps the tables it looked up).  So
     after a call the cache weighs at most MAX_FIELD_ORDER, or holds the
     returned field alone at no more than MAX_FIELD_WEIGHT.  A call weighs
-    only the fields it adds, evicts or strips, as the sum is kept up to date.
+    only the fields it adds, evicts or strips, as the weights are kept.
     """
     global _cachedWeight
     q = int(q)  # the key tableBuilt finds a field by: FiniteField's order
-    pasture = _fieldPastures.pop(q, None)
-    if pasture is None:
-        pasture = _buildGfPasture(q)
+    entry = _fieldPastures.pop(q, None)
+    if entry is None:
+        entry = [_buildGfPasture(q), q]
         _cachedWeight += q
     while _fieldPastures and _cachedWeight > MAX_FIELD_ORDER:
-        _cachedWeight -= _weight(_fieldPastures.pop(next(iter(_fieldPastures))))
+        _cachedWeight -= _fieldPastures.pop(next(iter(_fieldPastures)))[1]
     if _cachedWeight > MAX_FIELD_WEIGHT:
-        _cachedWeight -= _weight(pasture) - q
-        pasture.search = None
-    _fieldPastures[q] = pasture
-    return pasture
+        _cachedWeight -= entry[1] - q
+        entry[0].search, entry[1] = None, q
+    _fieldPastures[q] = entry
+    return entry[0]
 
 
 def _buildGfPasture(q):

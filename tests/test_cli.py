@@ -270,6 +270,15 @@ def test_iso_requires_exactly_one_source(capsys):
                 "--target", "F3"]) == 1
 
 
+def test_iso_refuses_a_basis_without_a_matroid(capsys):
+    """--basis picks the reference basis of --matroid's foundation, so with
+    --source it is a usage error: exit 1, one line on stderr, no output."""
+    assert run(["iso", "--source", "gf:4", "--target", "gf:4", "--basis", "1,2"]) == 1
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "iso: --basis needs --matroid\n")
+    assert run(["iso", "--matroid", "uniform:2,4", "--basis", "1,2", "--target", "U"]) == 0
+
+
 def test_matroid_from_stdin(capsys, monkeypatch):
     import io
     monkeypatch.setattr("sys.stdin",

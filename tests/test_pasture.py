@@ -294,6 +294,12 @@ def test_search_tables_match_their_definitions():
             assert scaledPairs(p, c, d) is scaledPairs(p, c, d)
 
 
+def tableKeys(pasture):
+    """The keys of the target tables in pasture's search memo: every key but
+    the sublattice's."""
+    return {k for k in pasture.search or () if k[0] != "sublattice"}
+
+
 def test_gf_pasture_is_built_once():
     assert gfPasture(13) is gfPasture(13)
     assert gfPasture(2) is gfPasture(2)
@@ -311,7 +317,7 @@ def test_field_cache_evicts_the_least_recently_used_fields(monkeypatch):
         gfPasture(q)
         cache = pastureModule._fieldPastures
         assert list(cache) == kept, q
-        assert sum(p.field.q for p in cache.values()) <= 20
+        assert sum(p.field.q for p, _ in cache.values()) <= 20
     assert gfPasture(8) is not eight  # evicted by 19 and built again
 
 
@@ -326,9 +332,11 @@ def test_field_cache_counts_the_search_tables_of_each_field(monkeypatch):
     monkeypatch.setattr(pastureModule, "_cachedWeight", 0)
 
     def weights():
-        return {q: p.field.q * (1 + (len(p.search.rules) + len(p.search.scaled)
-                                     if p.search is not None else 0))
-                for q, p in pastureModule._fieldPastures.items()}
+        """Each cached field's kept weight, checked to be q for the field and
+        q for each table in its search memo."""
+        for q, (p, weight) in pastureModule._fieldPastures.items():
+            assert weight == p.field.q * (1 + len(tableKeys(p))), q
+        return {q: weight for q, (_, weight) in pastureModule._fieldPastures.items()}
 
     seven = gfPasture(7)
     ruleCandidates(seven, (1,))
@@ -373,10 +381,6 @@ def test_the_cached_weight_follows_every_call_and_table(monkeypatch):
     def weight(field):
         return field.field.q * (1 + len(built[id(field)]))
 
-    def tableCount(field):
-        tables = field.search
-        return tables and len(tables.rules) + len(tables.scaled) + len(tables.torsion) or 0
-
     held = []
     keptAlone = stripped = 0
     for step in range(2400):
@@ -414,10 +418,12 @@ def test_the_cached_weight_follows_every_call_and_table(monkeypatch):
             built[id(field)].add(key)
         cache = pastureModule._fieldPastures
         assert list(cache) == list(expected), step
-        assert all(cache[q] is field for q, field in expected.items()), step
-        assert [tableCount(field) for field in cache.values()] == [
-            len(built[id(field)]) for field in cache.values()], step
-        assert pastureModule._cachedWeight == sum(map(weight, cache.values())), step
+        assert all(cache[q][0] is field for q, field in expected.items()), step
+        # the sources have no free rank, so each oracle key is the memo's
+        assert [tableKeys(field) for field in expected.values()] == [
+            built[id(field)] for field in expected.values()], step
+        assert [w for _, w in cache.values()] == list(map(weight, expected.values())), step
+        assert pastureModule._cachedWeight == sum(map(weight, expected.values())), step
         assert kind or pastureModule._cachedWeight <= ceiling or (
             len(cache) == 1 and pastureModule._cachedWeight <= alone), step
     assert keptAlone and stripped
@@ -431,15 +437,15 @@ def test_the_largest_field_keeps_its_search_tables(monkeypatch):
     monkeypatch.setattr(pastureModule, "_cachedWeight", 0)
     built = []
 
-    def counted(pasture):
+    def counted(pasture, table):
         built.append(pasture)
-        pastureModule.tableBuilt(pasture)
+        return pastureModule.tableBuilt(pasture, table)
 
     monkeypatch.setattr("foundry.morphism.tableBuilt", counted)
     source = computeFoundation(namedMatroid("uniform(2,4)")).foundation
     for expected in (2, 0, 0):
         target = gfPasture(65521)
-        assert list(pastureModule._fieldPastures.values()) == [target]
+        assert [p for p, _ in pastureModule._fieldPastures.values()] == [target]
         assert pastureModule._cachedWeight <= pastureModule.MAX_FIELD_WEIGHT
         before = len(built)
         assert len(searchMorphisms(source, target, findOne=True)) == 1
@@ -457,10 +463,11 @@ def test_refused_torsion_homs_leave_no_table_and_no_weight(monkeypatch):
     monkeypatch.setattr("foundry.morphism.MAX_TORSION_HOMS", 1)
     with pytest.raises(TooManyTorsionHoms):
         torsionHoms(sign, target)
-    assert (target.search.torsion, pastureModule._cachedWeight) == ({}, 7)
+    assert (tableKeys(target), pastureModule._cachedWeight) == (set(), 7)
     monkeypatch.setattr("foundry.morphism.MAX_TORSION_HOMS", 2)
     assert len(torsionHoms(sign, target)) == 1
-    assert (len(target.search.torsion), pastureModule._cachedWeight) == (1, 14)
+    assert ([k[0] for k in tableKeys(target)], pastureModule._cachedWeight) == (["torsion"], 14)
+    assert pastureModule._fieldPastures[7][1] == 14
 
 
 def test_searches_leave_a_cached_field_as_a_fresh_one():
